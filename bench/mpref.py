@@ -57,6 +57,12 @@ def omega_limit(n: int) -> int:
     return (-1) ** (h + 1) * 2 * (2 ** h - 1) * math.factorial(n) // math.factorial(h + 1)
 
 
+def omega_n_real(n: int, r: float) -> float:
+    """Omega_n at the binary value of r, rounded once."""
+    with mp.workdps(DPS):
+        return float(omega_n(n, mp.mpf(r)))
+
+
 def centered_coefficients(r: float, order: int) -> list:
     """Omega_n(r) - lim Omega_n for n = 0, 2, ..., order, at the binary value of r."""
     with mp.workdps(DPS):

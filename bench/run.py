@@ -42,7 +42,7 @@ SRC = ROOT / "src"
 OUT = ROOT / ".bench_out"
 
 #: setup samples per run: this process plus SETUP_CHILDREN fresh interpreters
-SETUP_CHILDREN = 2
+SETUP_CHILDREN = 4
 
 #: the error the generator's 3-sigma fidelity gate raises; an op stopped by it
 #: is a refusal (counted in ``failed``), not a wrong output
@@ -56,6 +56,10 @@ HARMLESS = ("ok", "out_of_tolerance", "refused")
 
 E2E_UNITS = {"setup_s": "s", "op_p50_s": "s", "wall_s": "s",
              "peak_rss_mb": "MB", "accuracy_digits": "digits"}
+
+#: the workloads of ``workloads.WORKLOADS``, named here so that arguments are
+#: parsed and set-up is measured before that module imports numpy
+WORKLOAD_NAMES = ("simulate", "sweep", "validate_quick")
 
 VALIDATE_CHECKS = ("closed_form_cross_check", "complex_r_cross_check",
                    "odd_order_vanishing", "limit_identity", "bound_inequalities",
@@ -149,13 +153,15 @@ def reset_process_memo() -> None:
         memo.clear()
 
 
-def run_op(cli, checker, op: dict) -> dict:
-    """One timed CLI call, then its output check (untimed)."""
+def run_op(cli, checker, op: dict, tracer=None) -> dict:
+    """One timed CLI call, then its output check (untimed, and never traced)."""
     import workloads
     reset_process_memo()
     gc.collect()
     rec = {"index": op["index"], "inputs": {k: v for k, v in op.items() if k != "index"}}
     with tempfile.TemporaryDirectory(dir=OUT) as d:
+        if tracer is not None:
+            tracer.op = op["index"]
         t0, c0 = time.perf_counter(), time.process_time()
         try:
             rc, err = quiet_main(cli, op["args"] + ["--out-dir", d])
@@ -163,6 +169,9 @@ def run_op(cli, checker, op: dict) -> dict:
             rec.update(seconds=time.perf_counter() - t0, status="error",
                        error=traceback.format_exc())
             return rec
+        finally:
+            if tracer is not None:
+                tracer.op = None
         rec["seconds"] = time.perf_counter() - t0
         rec["cpu_seconds"] = time.process_time() - c0
         rec["exit_code"] = rc
@@ -241,12 +250,12 @@ PER_LAYER_UNITS = {
     "bounds.lorentzian_l1_numeric.s": "s", "bounds.gaussian_l1_bound.s": "s",
     **{f"validation.{c}.runtime_s": "s" for c in VALIDATE_CHECKS},
     "manifest.bytes_written": "B", "manifest.write_s": "s",
-    "accuracy.worst_digits": "digits",
-    "trace.spans": "count", "trace.overhead_s": "s", "trace.op_p50_s": "s",
+    "accuracy.vouched_min_digits": "digits", "accuracy.worst_digits": "digits",
+    "trace.spans": "count", "trace.op_p50_s": "s",
 }
 
 
-def per_layer(records, tracer, per_call_overhead) -> dict:
+def per_layer(records, tracer) -> dict:
     """Per-op means over the run's completed ops, from the spans and check details.
 
     A metric named ``<span>.calls``, ``<span>.self_s`` or ``<span>.s`` is the
@@ -286,9 +295,9 @@ def per_layer(records, tracer, per_call_overhead) -> dict:
         "manifest.bytes_written": mean_detail("bytes_written"),
         "manifest.write_s": sum(stats["s"].get(f"manifest.{f}", 0.0) for f in
                                 ("atomic_write_text", "atomic_write_via", "sha256_of")) / n,
+        "accuracy.vouched_min_digits": min(r["details"]["vouched_min_digits"] for r in done),
         "accuracy.worst_digits": min(r["details"]["worst_digits"] for r in done),
         "trace.spans": n_spans / n,
-        "trace.overhead_s": n_spans * per_call_overhead / n,
         "trace.op_p50_s": statistics.median(r["seconds"] for r in done),
     }
     for check in VALIDATE_CHECKS:
@@ -308,9 +317,15 @@ def main(argv=None) -> int:
     # set-up probes inherit it.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
-    import workloads
+    # One fixed hash seed: str hashes order sets, and the sweep's peak memory
+    # moved by 8 MB between hash seeds.  The interpreter reads the seed only
+    # when it starts, so the script replaces itself with a fresh start.
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        os.environ["PYTHONHASHSEED"] = "0"
+        os.execv(sys.executable, [sys.executable, str(Path(__file__).resolve()),
+                                  *(sys.argv[1:] if argv is None else argv)])
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS))
+    parser.add_argument("--workload", choices=WORKLOAD_NAMES)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -324,14 +339,15 @@ def main(argv=None) -> int:
     if not args.seconds > 0:
         parser.error("--seconds must be positive")
 
+    # set-up first, so that its samples include importing numpy
     setup = setup_samples()
     cli = sys.modules["recipspec.cli"]
     import spans as sp
+    import workloads
     make_ops, per_pass, min_ops = workloads.WORKLOADS[args.workload]
     checker = workloads.Checker()
-    tracer = overhead = None
+    tracer = None
     if args.trace:
-        overhead = sp.calibrate_overhead()
         tracer = sp.Tracer()
         tracer.install("recipspec", layer_targets())
 
@@ -339,9 +355,7 @@ def main(argv=None) -> int:
     measured = 0.0
     for index, op in enumerate(make_ops(args.seed)):
         op["index"] = index
-        if tracer is not None:
-            tracer.op = index
-        rec = run_op(cli, checker, op)
+        rec = run_op(cli, checker, op, tracer)
         records.append(rec)
         measured += rec["seconds"]
         print(f"op {index} {rec['status']} {rec['seconds']:.3f}s", file=sys.stderr)
@@ -357,7 +371,7 @@ def main(argv=None) -> int:
     result = {"correct": correct, "attempted": len(records),
               "failed": len(records) - n_ok, "metrics": {}}
     if n_completed:
-        result["metrics"] = (per_layer(records, tracer, overhead) if tracer is not None
+        result["metrics"] = (per_layer(records, tracer) if tracer is not None
                              else end_to_end(records, setup, per_pass))
     run_record = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
                   "trace": args.trace, "machine": machine_info(), "setup_s": setup,

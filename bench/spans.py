@@ -108,20 +108,3 @@ def has_ancestor(spans, i: int, name: str) -> bool:
         p = spans[p][3]
     return False
 
-
-def calibrate_overhead(n: int = 20000) -> float:
-    """Seconds one wrapped call adds over a direct call, measured on a no-op."""
-    def noop():
-        return None
-
-    tracer = Tracer()
-    traced = tracer.wrap("noop", noop)
-    t0 = time.perf_counter()
-    for _ in range(n):
-        noop()
-    direct = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    for _ in range(n):
-        traced()
-    wrapped = time.perf_counter() - t0
-    return max(0.0, (wrapped - direct) / n)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import collections
+import hashlib
+import json
 import shutil
 import subprocess
 import sys
@@ -15,6 +17,7 @@ import pytest
 import mpref
 import run
 import spans
+import workloads
 
 
 def test_reference_matches_closed_forms():
@@ -51,6 +54,68 @@ def test_inversion_recovers_known_lags(complex_values):
 def test_inversion_rejects_odd_grid():
     with pytest.raises(ValueError):
         mpref.invert_half_sample_dft(np.ones(5), 0.1, [0])
+
+
+def _write_sweep_outputs(out_dir, a, omega20_factor):
+    """Spectra of a sweep op as the program should write them, from the reference.
+
+    Only the checked lags are nonzero: the inversion recovers each lag
+    independently of the others.  ``omega20_factor`` scales Omega_20 - lim.
+    """
+    ks, dtau, m = workloads.SWEEP_CHECK_KS, workloads.SWEEP_DTAU, workloads.SWEEP_HALF_POINTS
+    lags = mpref.midpoint_lags(dtau, max(ks) + 1)
+    coeffs = {k: mpref.centered_coefficients(mpref.lorentzian_r(a, float(lags[k])),
+                                             workloads.SWEEP_ORDER) for k in ks}
+    for c in coeffs.values():
+        c[-1] *= omega20_factor
+    freqs = (np.arange(2 * m) - m) / (2.0 * m * dtau)
+    out_dir.mkdir()
+    outputs = []
+    for w in workloads.SWEEP_OMEGAS:
+        values = np.zeros(m)
+        for k in ks:
+            values[k] = mpref.autocovariance(coeffs[k], w)
+        path = out_dir / f"spectrum_omega{w:g}.csv"
+        rows = "".join(f"{float(f)!r},{float(p)!r}\n"
+                       for f, p in zip(freqs, mpref.half_sample_dft(values, dtau)))
+        path.write_text("freq,psd\n" + rows)
+        outputs.append({"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()})
+    (out_dir / "manifest.json").write_text(json.dumps({"outputs": outputs}))
+
+
+def test_sweep_check_catches_a_wrong_high_order(tmp_path):
+    """Omega_20 off by 0.1 % fails the sweep check; exact values pass it."""
+    op = {"kind": "sweep", "a": 1.003}
+    checker = workloads.Checker()
+    _write_sweep_outputs(tmp_path / "exact", op["a"], 1.0)
+    assert checker.check(op, str(tmp_path / "exact"))["accuracy_digits"] > 12
+    _write_sweep_outputs(tmp_path / "perturbed", op["a"], 1.001)
+    with pytest.raises(workloads.CheckFailed):
+        checker.check(op, str(tmp_path / "perturbed"))
+
+
+@pytest.mark.parametrize("a", [0.99, 1.01])
+def test_sweep_vouches_for_lags_inside_the_accuracy_domain(a):
+    lags = mpref.midpoint_lags(workloads.SWEEP_DTAU, max(workloads.SWEEP_CHECK_KS) + 1)
+    vouched = [k for k in workloads.SWEEP_CHECK_KS
+               if workloads.vouched(mpref.lorentzian_r(a, float(lags[k])), max(workloads.SWEEP_OMEGAS))]
+    assert vouched == [2, 4, 10, 20]
+
+
+def test_validate_probe_catches_a_shared_error(monkeypatch):
+    """The probe compares Omega_n with the reference, so a change the closed forms share shows."""
+    run.import_package()
+    from recipspec import coefficients
+    assert workloads.score(workloads.validate_probe())["accuracy_digits"] > 9
+    original = coefficients.omega_n_general
+    monkeypatch.setattr(coefficients, "omega_n_general",
+                        lambda n, r, *a: original(n, r, *a) * (1 + 1e-5 * (n == 6)))
+    with pytest.raises(workloads.CheckFailed):
+        workloads.score(workloads.validate_probe())
+
+
+def test_workload_names_match():
+    assert sorted(run.WORKLOAD_NAMES) == sorted(workloads.WORKLOADS)
 
 
 def test_self_time_subtracts_covered_child_time():

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, finite_positive
 from .kernels import (CorrelationKernel, DopplerLorentzian, FlatBand,
                       GaussianKernel, Lorentzian)
 from .specfun import EvalAccuracy, hyp3f2_zero_balanced, math_constants
@@ -70,15 +70,13 @@ def _integrate_with_log_head(f, panels) -> float:
 
 def lorentzian_l1_bound(a: float) -> float:
     """Closed-form L1 majorant for r = exp(-a|tau|): (28 zeta(3)/pi - 8 C)/a."""
-    if not a > 0:
-        raise DomainError(f"decay rate must be positive, got {a}")
+    a = finite_positive(a, "decay rate")
     return math_constants().lorentzian_l1_constant / a
 
 
 def lorentzian_l1_numeric(a: float) -> float:
     """Numeric two-sided integral of the majorant for r = exp(-a|tau|)."""
-    if not a > 0:
-        raise DomainError(f"decay rate must be positive, got {a}")
+    a = finite_positive(a, "decay rate")
 
     def f(tau):
         return l1_integrand(math.exp(-a * tau))
@@ -93,8 +91,7 @@ def gaussian_l1_bound(a: float) -> float:
     There is no closed form here; the value scales as 1/sqrt(a) and sits near
     4.53 for a = 1.
     """
-    if not a > 0:
-        raise DomainError(f"decay rate must be positive, got {a}")
+    a = finite_positive(a, "decay rate")
     s = math.sqrt(a)
 
     def f(tau):

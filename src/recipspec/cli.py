@@ -16,7 +16,8 @@ from . import __version__
 from .bounds import integrability_report
 from .coefficients import build_table
 from .errors import (AccuracyError, ConfigError, ConsistencyError, DomainError,
-                     StatisticalQualityError, TruncationError)
+                     StatisticalQualityError, TruncationError, finite_nonnegative,
+                     finite_positive)
 from .kernels import make_kernel
 from .manifest import RunManifest, atomic_write_text, atomic_write_via, dump_json
 from .simulator import SimulationConfig, run_experiment
@@ -90,22 +91,6 @@ def _out(resolved, name):
     return os.path.join(resolved["out_dir"], name)
 
 
-def _write_rows(path, header, rows, fmt):
-    if fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        atomic_write_text(path, dump_json(payload, indent=1))
-    else:
-        import csv
-
-        def writer(tmp):
-            with open(tmp, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(header)
-                w.writerows(rows)
-
-        atomic_write_via(path, writer)
-
-
 def cmd_coeffs(args) -> int:
     conv = dict(_KERNEL_CONV)
     conv.update({
@@ -115,22 +100,22 @@ def cmd_coeffs(args) -> int:
     })
     resolved = _resolve(args, conv)
     kernel = _kernel_from(resolved)
-    lags = np.arange(resolved["tau_start"], resolved["tau_stop"] + 1e-12,
-                     resolved["tau_step"])
+    start = finite_nonnegative(resolved["tau_start"], "--tau-start")
+    stop = finite_nonnegative(resolved["tau_stop"], "--tau-stop")
+    step = finite_positive(resolved["tau_step"], "--tau-step")
+    if stop < start:
+        raise DomainError(f"--tau-stop {stop!r} is below --tau-start {start!r}")
+    lags = np.arange(start, stop + 1e-12, step)
     table = build_table(kernel, lags, resolved["max_order"])
     manifest = RunManifest("coeffs", {k: v for k, v in resolved.items()},
                            seed=resolved["seed"], package_version=__version__)
-    path = _out(resolved, "coeffs.csv" if resolved["format"] == "csv" else "coeffs.json")
-    rows = []
-    for k, tau in enumerate(table.lags):
-        for i, n in enumerate(table.orders):
-            v, c = table.values[i, k], table.centered[i, k]
-            rows.append([repr(float(tau)), n,
-                         repr(float(v.real)), repr(float(v.imag)),
-                         repr(float(c.real)), repr(float(c.imag))])
-    _write_rows(path, ["tau", "n", "re_omega", "im_omega",
-                       "re_omega_prime", "im_omega_prime"], rows,
-                resolved["format"])
+    if resolved["format"] == "csv":
+        path = _out(resolved, "coeffs.csv")
+        atomic_write_via(path, table.to_csv)
+    else:
+        path = _out(resolved, "coeffs.json")
+        payload = [dict(zip(table.COLUMNS, row)) for row in table.rows()]
+        atomic_write_text(path, dump_json(payload, indent=1))
     manifest.add_output(path)
     manifest.write(_out(resolved, "manifest.json"))
     return EXIT_OK
@@ -145,7 +130,7 @@ def cmd_spectrum(args) -> int:
     })
     resolved = _resolve(args, conv)
     kernel = _kernel_from(resolved)
-    omegas = [float(tok) for tok in str(resolved["omega"]).split(",")]
+    omegas = [finite_nonnegative(tok, "omega") for tok in str(resolved["omega"]).split(",")]
     grid = TauGrid(dtau=resolved["dtau"], half_points=resolved["half_points"])
     manifest = RunManifest("spectrum", resolved, seed=resolved["seed"],
                            package_version=__version__)

@@ -16,8 +16,8 @@ independent cross-check path.
 
 Numerical note: the double sum cancels increasingly violently as |r| -> 1 and
 n grows; in double precision the relative accuracy of Omega_n degrades past
-roughly n = 14 for |r| > 0.95.  The series assembly is insensitive to this
-(the noisy orders are divided by n!), and the tests pin accuracy exactly
+roughly n = 14 for |r| > 0.95.  Dividing by n! in the series does not hide
+this at larger omega (README, "High orders"); the tests pin accuracy exactly
 where the acceptance tolerances demand it.
 """
 
@@ -31,8 +31,7 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedOrderError
 from .kernels import CorrelationKernel
-from .specfun import (DEFAULT_ACCURACY, EvalAccuracy, gauss_2f1_regularized,
-                      gauss_2f1_regularized_grid)
+from .specfun import gauss_2f1_regularized, gauss_2f1_regularized_grid
 
 #: below this |r| the double sum is replaced by the centered ray expansion
 SMALL_R_THRESHOLD = 1e-4
@@ -67,7 +66,7 @@ def omega_bound(n: int, abs_r: float) -> float:
             / (1.0 - abs_r) ** (1.0 + n / 2.0))
 
 
-def _omega_general_direct(n: int, r: complex, acc: EvalAccuracy) -> complex:
+def _omega_general_direct(n: int, r: complex) -> complex:
     """The literal double sum; assumes |r| in [SMALL_R_THRESHOLD, 1)."""
     z = abs(r) ** 2
     rs = r.conjugate()
@@ -76,7 +75,7 @@ def _omega_general_direct(n: int, r: complex, acc: EvalAccuracy) -> complex:
         for j in range(min(k, n // 2) + 1):
             comb = ((-1) ** k * math.factorial(n)
                     / (math.factorial(n // 2 - j) * math.factorial(k - j)))
-            f = gauss_2f1_regularized(1 + j, 1 + j - k + n // 2, 2 + 2 * j - k, z, acc)
+            f = gauss_2f1_regularized(1 + j, 1 + j - k + n // 2, 2 + 2 * j - k, z)
             total += comb * f * rs ** (2 * j - k + 1)
     return (-1) ** (n // 2) * total
 
@@ -84,7 +83,7 @@ def _omega_general_direct(n: int, r: complex, acc: EvalAccuracy) -> complex:
 _RAY_CACHE: dict = {}
 
 
-def _ray_coefficients(n: int, u: complex, acc: EvalAccuracy):
+def _ray_coefficients(n: int, u: complex):
     """Quadratic expansion of Omega_n along the ray r = t*u, fitted at t = 1e-2.
 
     Richardson elimination from evaluations at h and h/2 pins the linear and
@@ -97,15 +96,15 @@ def _ray_coefficients(n: int, u: complex, acc: EvalAccuracy):
         return hit
     h = 1e-2
     lim = omega_limit(n)
-    fh = _omega_general_direct(n, u * h, acc)
-    fh2 = _omega_general_direct(n, u * (h / 2), acc)
+    fh = _omega_general_direct(n, u * h)
+    fh2 = _omega_general_direct(n, u * (h / 2))
     a1 = (4.0 * fh2 - fh - 3.0 * lim) / h
     a2 = (fh - lim - a1 * h) / h ** 2
     _RAY_CACHE[key] = (lim, a1, a2)
     return lim, a1, a2
 
 
-def omega_n_general(n: int, r: complex, acc: EvalAccuracy = DEFAULT_ACCURACY) -> complex:
+def omega_n_general(n: int, r: complex) -> complex:
     """Omega_n for arbitrary complex r with |r| < 1.
 
     Odd n returns exactly 0. For |r| below SMALL_R_THRESHOLD the value comes
@@ -123,9 +122,9 @@ def omega_n_general(n: int, r: complex, acc: EvalAccuracy = DEFAULT_ACCURACY) ->
     if mag < SMALL_R_THRESHOLD:
         if mag == 0.0:
             return complex(omega_limit(n))
-        lim, a1, a2 = _ray_coefficients(n, r / mag, acc)
+        lim, a1, a2 = _ray_coefficients(n, r / mag)
         return lim + a1 * mag + a2 * mag * mag
-    return _omega_general_direct(n, r, acc)
+    return _omega_general_direct(n, r)
 
 
 def omega_n_closed_real(n: int, r: float) -> float:
@@ -170,16 +169,16 @@ def omega2_closed(r: complex) -> complex:
     return 2.0 * (1.0 - 2.0 * rs + rs / r) / (1.0 - z) + 2.0 * math.log(1.0 - z) / r ** 2
 
 
-def omega_prime(n: int, r: complex, acc: EvalAccuracy = DEFAULT_ACCURACY) -> complex:
+def omega_prime(n: int, r: complex) -> complex:
     """Centered coefficient Omega'_n = Omega_n - lim_{tau->inf} Omega_n."""
-    return omega_n_general(n, r, acc) - omega_limit(n)
+    return omega_n_general(n, r) - omega_limit(n)
 
 
 # ---------------------------------------------------------------------------
 # batch evaluation over a lag grid
 # ---------------------------------------------------------------------------
 
-def _omega_general_grid(n: int, r: np.ndarray, acc: EvalAccuracy) -> np.ndarray:
+def _omega_general_grid(n: int, r: np.ndarray) -> np.ndarray:
     """Vectorized double sum over an array of r values (|r| >= threshold)."""
     z = np.abs(r) ** 2
     rs = np.conj(r)
@@ -188,12 +187,12 @@ def _omega_general_grid(n: int, r: np.ndarray, acc: EvalAccuracy) -> np.ndarray:
         for j in range(min(k, n // 2) + 1):
             comb = ((-1) ** k * math.factorial(n)
                     / (math.factorial(n // 2 - j) * math.factorial(k - j)))
-            f = gauss_2f1_regularized_grid(1 + j, 1 + j - k + n // 2, 2 + 2 * j - k, z, acc)
+            f = gauss_2f1_regularized_grid(1 + j, 1 + j - k + n // 2, 2 + 2 * j - k, z)
             total += comb * f * rs ** (2 * j - k + 1)
     return (-1) ** (n // 2) * total
 
 
-def omega_n_over_grid(n: int, r: np.ndarray, acc: EvalAccuracy = DEFAULT_ACCURACY) -> np.ndarray:
+def omega_n_over_grid(n: int, r: np.ndarray) -> np.ndarray:
     """Omega_n evaluated over an array of correlation values.
 
     Splits the grid into the direct-sum region and the small-|r| expansion
@@ -209,7 +208,7 @@ def omega_n_over_grid(n: int, r: np.ndarray, acc: EvalAccuracy = DEFAULT_ACCURAC
         return out
     small = mag < SMALL_R_THRESHOLD
     if np.any(~small):
-        out[~small] = _omega_general_grid(n, r[~small], acc)
+        out[~small] = _omega_general_grid(n, r[~small])
     if np.any(small):
         idx = np.nonzero(small)[0]
         lim = omega_limit(n)
@@ -219,14 +218,14 @@ def omega_n_over_grid(n: int, r: np.ndarray, acc: EvalAccuracy = DEFAULT_ACCURAC
             for sgn in (1.0, -1.0):
                 m = idx[(np.sign(r[idx].real) == sgn)]
                 if m.size:
-                    l0, a1, a2 = _ray_coefficients(n, complex(sgn), acc)
+                    l0, a1, a2 = _ray_coefficients(n, complex(sgn))
                     t = mag[m]
                     out[m] = l0 + a1 * t + a2 * t * t
             zer = idx[r[idx] == 0.0]
             out[zer] = lim
         else:
             for i in idx:
-                out[i] = omega_n_general(n, complex(r[i]), acc)
+                out[i] = omega_n_general(n, complex(r[i]))
     return out
 
 
@@ -245,26 +244,32 @@ class CoefficientTable:
     limit_values: np.ndarray
     kernel_info: dict = field(default_factory=dict)
 
+    #: column names of :meth:`rows`
+    COLUMNS = ("tau", "n", "re_omega", "im_omega", "re_omega_prime", "im_omega_prime")
+
     def order_index(self, n: int) -> int:
         return self.orders.index(n)
 
+    def rows(self) -> list:
+        """One row per (lag, order), floats as round-trip ``repr`` strings."""
+        out = []
+        for k, tau in enumerate(self.lags):
+            for i, n in enumerate(self.orders):
+                v, c = self.values[i, k], self.centered[i, k]
+                out.append([repr(float(tau)), n,
+                            repr(float(v.real)), repr(float(v.imag)),
+                            repr(float(c.real)), repr(float(c.imag))])
+        return out
+
     def to_csv(self, path) -> None:
-        """Write rows (tau, n, re_omega, im_omega, re_omega_prime, im_omega_prime)."""
+        """Write :attr:`COLUMNS` as a header, then :meth:`rows`."""
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["tau", "n", "re_omega", "im_omega",
-                        "re_omega_prime", "im_omega_prime"])
-            for k, tau in enumerate(self.lags):
-                for i, n in enumerate(self.orders):
-                    v = self.values[i, k]
-                    c = self.centered[i, k]
-                    w.writerow([repr(float(tau)), n,
-                                repr(float(v.real)), repr(float(v.imag)),
-                                repr(float(c.real)), repr(float(c.imag))])
+            w.writerow(self.COLUMNS)
+            w.writerows(self.rows())
 
 
-def build_table(kernel: CorrelationKernel, lags, max_order: int,
-                acc: EvalAccuracy = DEFAULT_ACCURACY) -> CoefficientTable:
+def build_table(kernel: CorrelationKernel, lags, max_order: int) -> CoefficientTable:
     """Evaluate all even orders up to max_order over a lag grid.
 
     The grid must not contain tau = 0, where |r| = 1 and every coefficient
@@ -283,7 +288,7 @@ def build_table(kernel: CorrelationKernel, lags, max_order: int,
     orders = list(range(0, max_order + 1, 2))
     values = np.empty((len(orders), len(lags)), dtype=complex)
     for i, n in enumerate(orders):
-        values[i] = omega_n_over_grid(n, r, acc)
+        values[i] = omega_n_over_grid(n, r)
     limits = np.array([omega_limit(n) for n in orders])
     centered = values - limits[:, None]
     _check_bounds(orders, np.abs(r), values)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check applied to
+every number that enters it from outside."""
+
+import math
 
 
 class DomainError(ValueError):
@@ -11,6 +14,29 @@ class UnsupportedOrderError(DomainError):
 
 class ConfigError(ValueError):
     """A configuration object violates its invariants."""
+
+
+def _as_float(value, name: str, error) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be a number, got {value!r}") from None
+
+
+def finite_nonnegative(value, name: str, error=DomainError) -> float:
+    """Return ``float(value)`` if it is finite and >= 0, else raise ``error``."""
+    x = _as_float(value, name, error)
+    if not (math.isfinite(x) and x >= 0.0):
+        raise error(f"{name} must be finite and >= 0, got {x!r}")
+    return x
+
+
+def finite_positive(value, name: str, error=DomainError) -> float:
+    """Return ``float(value)`` if it is finite and > 0, else raise ``error``."""
+    x = _as_float(value, name, error)
+    if not (math.isfinite(x) and x > 0.0):
+        raise error(f"{name} must be finite and > 0, got {x!r}")
+    return x
 
 
 class AccuracyError(RuntimeError):

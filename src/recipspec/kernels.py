@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, finite_nonnegative, finite_positive
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -47,8 +47,7 @@ class Lorentzian(CorrelationKernel):
     name = "lorentzian"
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise DomainError(f"Lorentzian decay rate must be positive, got {self.a}")
+        finite_positive(self.a, "Lorentzian decay rate")
 
     def eval(self, tau: ArrayLike):
         return np.exp(-self.a * np.abs(tau))
@@ -66,8 +65,7 @@ class GaussianKernel(CorrelationKernel):
     name = "gaussian"
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise DomainError(f"GaussianKernel decay rate must be positive, got {self.a}")
+        finite_positive(self.a, "GaussianKernel decay rate")
 
     def eval(self, tau: ArrayLike):
         return np.exp(-self.a * np.asarray(tau, dtype=float) ** 2)
@@ -106,8 +104,8 @@ class DopplerLorentzian(CorrelationKernel):
     is_complex = True
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise DomainError(f"DopplerLorentzian decay rate must be positive, got {self.a}")
+        finite_positive(self.a, "DopplerLorentzian decay rate")
+        finite_nonnegative(abs(self.beta), "DopplerLorentzian |beta|")
 
     def eval(self, tau: ArrayLike):
         tau = np.asarray(tau, dtype=float)
@@ -131,15 +129,18 @@ class Tabulated(CorrelationKernel):
     def __init__(self, lags, values):
         lags = np.asarray(lags, dtype=float)
         values = np.asarray(values, dtype=complex)
-        if lags.ndim != 1 or lags.shape != values.shape:
-            raise DomainError("lags and values must be 1-d arrays of equal length")
+        if lags.ndim != 1 or lags.shape != values.shape or lags.size == 0:
+            raise DomainError("lags and values must be nonempty 1-d arrays of equal length")
+        # max() propagates NaN, so one check covers every entry
+        finite_nonnegative(lags.max(), "largest tabulated lag")
+        peak = finite_nonnegative(np.abs(values).max(), "largest tabulated |r|")
         if lags[0] != 0.0:
             raise DomainError("tabulated kernel must start at tau = 0")
         if np.any(np.diff(lags) <= 0):
             raise DomainError("tabulated lags must be strictly ascending")
         if abs(values[0] - 1.0) > 1e-12:
             raise DomainError("tabulated kernel must have r(0) = 1")
-        if np.max(np.abs(values)) > 1.0 + 1e-12:
+        if peak > 1.0 + 1e-12:
             raise DomainError("tabulated kernel violates |r| <= 1")
         self.lags = lags
         self.values = values
@@ -214,14 +215,6 @@ def decompose(r: complex) -> Decomposition:
     if mag > 1.0 + 1e-12:
         raise DomainError(f"|r| = {mag} exceeds 1")
     return Decomposition(rho=r.real, mu=-r.imag, magnitude=mag, phase=cmath.phase(r))
-
-
-KERNEL_KINDS = {
-    "lorentzian": Lorentzian,
-    "gaussian": GaussianKernel,
-    "flatband": FlatBand,
-    "doppler_lorentzian": DopplerLorentzian,
-}
 
 
 def make_kernel(kind: str, a: float = 1.0, beta: float = 0.0,

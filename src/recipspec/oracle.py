@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, finite_nonnegative
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,7 @@ def rss_montecarlo(r: complex, omega, n_samples: int, seed: int,
         raise DomainError(f"Monte Carlo requires |r| < 1, got {abs(r)}")
     if n_batches < 100:
         raise DomainError("need at least 100 batches for the stderr estimate")
-    w = float(omega)
+    w = finite_nonnegative(omega, "omega")
     JointCovariance(r)  # structural validation of the implied joint law
     rng = np.random.default_rng(seed)
     batch = n_samples // n_batches

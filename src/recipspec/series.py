@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .coefficients import omega_bound, omega_limit, omega_n_general
-from .errors import DomainError
-from .specfun import DEFAULT_ACCURACY, EvalAccuracy
+from .errors import DomainError, finite_nonnegative, finite_positive
 
 #: relative tail-bound level above which a SeriesEvaluation is flagged
 TAIL_FLAG_RELATIVE = 1e-3
@@ -30,24 +29,14 @@ class OmegaRatio:
     value: float
 
     def __post_init__(self):
-        if not self.value >= 0:
-            raise DomainError(f"omega ratio must be >= 0, got {self.value}")
+        finite_nonnegative(self.value, "omega ratio")
 
     @classmethod
     def from_mean_and_power(cls, w0: complex, r_ww0: float) -> "OmegaRatio":
-        if not r_ww0 > 0:
-            raise DomainError("process power must be positive")
-        return cls(abs(w0) / math.sqrt(r_ww0))
+        return cls(abs(w0) / math.sqrt(finite_positive(r_ww0, "process power")))
 
     def __float__(self):
         return self.value
-
-
-def _omega_value(omega) -> float:
-    w = float(omega)
-    if w < 0:
-        raise DomainError("omega must be >= 0")
-    return w
 
 
 @dataclass(frozen=True)
@@ -76,7 +65,7 @@ def asymptotic_floor(omega) -> float:
     Coincides with the squared magnitude of the process mean; the limit at
     w = 0 is 0.
     """
-    w = _omega_value(omega)
+    w = finite_nonnegative(omega, "omega")
     if w == 0.0:
         return 0.0
     return ((1.0 - math.exp(-w * w)) / w) ** 2
@@ -84,7 +73,7 @@ def asymptotic_floor(omega) -> float:
 
 def floor_partial(omega, order: int) -> float:
     """Partial sum of the limit coefficients: sum_{n<=order} lim Omega_n w^n/n!."""
-    w = _omega_value(omega)
+    w = finite_nonnegative(omega, "omega")
     if order < 0:
         raise DomainError("order must be nonnegative")
     total = 0.0
@@ -118,10 +107,9 @@ def _tail_bound(abs_r: float, w: float, order: int) -> float:
     return math.inf
 
 
-def autocorrelation(r: complex, omega, order: int = 20,
-                    acc: EvalAccuracy = DEFAULT_ACCURACY) -> SeriesEvaluation:
+def autocorrelation(r: complex, omega, order: int = 20) -> SeriesEvaluation:
     """Normalized autocorrelation partial sum: sum_{even n<=order} Omega_n w^n/n!."""
-    w = _omega_value(omega)
+    w = finite_nonnegative(omega, "omega")
     r = complex(r)
     if abs(r) >= 1.0:
         raise DomainError(f"series requires |r| < 1, got {abs(r)}")
@@ -130,7 +118,7 @@ def autocorrelation(r: complex, omega, order: int = 20,
     total = 0.0 + 0.0j
     last = 0.0
     for n in range(0, order + 1, 2):
-        term = omega_n_general(n, r, acc) * w ** n / math.factorial(n)
+        term = omega_n_general(n, r) * w ** n / math.factorial(n)
         total += term
         last = abs(term)
     return SeriesEvaluation(value=total, truncation_order=order,
@@ -138,17 +126,16 @@ def autocorrelation(r: complex, omega, order: int = 20,
                             tail_bound=_tail_bound(abs(r), w, order))
 
 
-def autocovariance(r: complex, omega, order: int = 20,
-                   acc: EvalAccuracy = DEFAULT_ACCURACY) -> SeriesEvaluation:
+def autocovariance(r: complex, omega, order: int = 20) -> SeriesEvaluation:
     """Normalized autocovariance partial sum (centered coefficients).
 
     Implemented literally as autocorrelation minus the partial floor, so
     ``autocovariance(...).value == autocorrelation(...).value - floor_partial(...)``
     holds bitwise.
     """
-    w = _omega_value(omega)
-    ac = autocorrelation(r, omega, order, acc)
-    last = ((omega_n_general(order, complex(r), acc) - omega_limit(order))
+    w = finite_nonnegative(omega, "omega")
+    ac = autocorrelation(r, omega, order)
+    last = ((omega_n_general(order, complex(r)) - omega_limit(order))
             * w ** order / math.factorial(order))
     return SeriesEvaluation(value=ac.value - floor_partial(omega, order),
                             truncation_order=order,
@@ -158,6 +145,4 @@ def autocovariance(r: complex, omega, order: int = 20,
 
 def denormalize(normalized_value: complex, r_ww0: float) -> complex:
     """Undo the unit-power normalization: R_ss = R_hat / R_ww(0)."""
-    if not r_ww0 > 0:
-        raise DomainError(f"R_ww(0) must be positive, got {r_ww0}")
-    return normalized_value / r_ww0
+    return normalized_value / finite_positive(r_ww0, "R_ww(0)")

@@ -20,9 +20,9 @@ from typing import Optional
 import numpy as np
 from scipy.signal import lfilter, oaconvolve
 
-from .errors import ConfigError, DomainError, StatisticalQualityError
+from .errors import (ConfigError, DomainError, StatisticalQualityError,
+                     finite_nonnegative, finite_positive)
 from .kernels import CorrelationKernel, FlatBand, Lorentzian
-from .series import OmegaRatio
 from .spectrum import (SpectrumResult, theoretical_spectrum, TauGrid,
                        welch_covariance_spectrum, welch_expected_spectrum)
 
@@ -43,10 +43,8 @@ class SimulationConfig:
     def __post_init__(self):
         if not isinstance(self.kernel, (Lorentzian, FlatBand)):
             raise ConfigError("simulation supports Lorentzian and FlatBand kernels")
-        if float(self.omega) < 0:
-            raise ConfigError("omega must be >= 0")
-        if not self.dt > 0:
-            raise ConfigError("dt must be positive")
+        finite_nonnegative(self.omega, "omega", ConfigError)
+        finite_positive(self.dt, "dt", ConfigError)
         if self.n_samples < 2 ** 16:
             raise ConfigError("need at least 2^16 samples")
         if isinstance(self.kernel, Lorentzian) and self.kernel.a * self.dt >= 0.5:
@@ -164,12 +162,8 @@ def invert(samples: np.ndarray, omega, r_ww0: float = 1.0):
     denominators are left as the IEEE division produces them (infinities) and
     only counted, never dropped.
     """
-    w = float(omega) if not isinstance(omega, OmegaRatio) else omega.value
-    if w < 0:
-        raise DomainError("omega must be >= 0")
-    if not r_ww0 > 0:
-        raise DomainError("process power must be positive")
-    denom = w * math.sqrt(r_ww0) + samples
+    w = finite_nonnegative(omega, "omega")
+    denom = w * math.sqrt(finite_positive(r_ww0, "process power")) + samples
     n_zero = int(np.count_nonzero(denom == 0))
     with np.errstate(divide="ignore", invalid="ignore"):
         s = 1.0 / denom

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import build_table
-from .errors import ConsistencyError, DomainError, StatisticalQualityError, TruncationError
+from .errors import (ConsistencyError, DomainError, StatisticalQualityError, TruncationError,
+                     finite_nonnegative, finite_positive)
 from .kernels import CorrelationKernel, FlatBand
 from .series import TAIL_FLAG_RELATIVE, _tail_bound, asymptotic_floor
-from .specfun import DEFAULT_ACCURACY, EvalAccuracy
 
 _FREQ_CHUNK = 256
 
@@ -41,8 +41,7 @@ class TauGrid:
     offset: float = 0.5
 
     def __post_init__(self):
-        if not self.dtau > 0:
-            raise DomainError("dtau must be positive")
+        finite_positive(self.dtau, "dtau")
         if self.half_points < 16:
             raise DomainError("need at least 16 lag points")
         if not 0.0 < self.offset <= 1.0:
@@ -78,10 +77,6 @@ class SpectrumResult:
                 db = 10.0 * math.log10(p) if p > 0 else float("nan")
                 w.writerow([repr(float(f)), repr(float(p)), repr(db)])
 
-    def band_mask(self, drop_db: float = 40.0) -> np.ndarray:
-        peak = float(np.max(self.psd))
-        return self.psd >= peak * 10.0 ** (-drop_db / 10.0)
-
 
 def _hermitian_transform(lags: np.ndarray, values: np.ndarray,
                          freqs: np.ndarray, dtau: float):
@@ -114,8 +109,7 @@ def _raised_cosine_taper(n: int, fraction: float = 0.1) -> np.ndarray:
 
 def theoretical_spectrum(kernel: CorrelationKernel, omega, order: int,
                          grid: TauGrid, freqs: np.ndarray | None = None,
-                         strict_tail: bool = False,
-                         acc: EvalAccuracy = DEFAULT_ACCURACY) -> SpectrumResult:
+                         strict_tail: bool = False) -> SpectrumResult:
     """Transform the autocovariance series into a covariance power spectrum.
 
     The series is evaluated once per lag through a coefficient table.  Lags
@@ -129,11 +123,9 @@ def theoretical_spectrum(kernel: CorrelationKernel, omega, order: int,
     before transforming; the sinc covariance decays only like 1/tau and plain
     truncation would ring.  This is a documented leakage-control bias.
     """
-    w = float(omega)
-    if w < 0:
-        raise DomainError("omega must be >= 0")
+    w = finite_nonnegative(omega, "omega")
     lags = grid.positive_lags()
-    table = build_table(kernel, lags, order, acc)
+    table = build_table(kernel, lags, order)
     wpow = np.array([w ** n / math.factorial(n) for n in table.orders])
     chat = (wpow[:, None] * table.centered).sum(axis=0)
 
@@ -260,8 +252,7 @@ def welch_covariance_spectrum(samples: np.ndarray, dt: float,
 
 def welch_expected_spectrum(kernel: CorrelationKernel, omega, order: int,
                             dt: float, segment_len: int,
-                            window_kind: str, zero_lag_value: float,
-                            acc: EvalAccuracy = DEFAULT_ACCURACY) -> SpectrumResult:
+                            window_kind: str, zero_lag_value: float) -> SpectrumResult:
     """Expected value of the Welch estimator for the discrete-time process.
 
     For a stationary sequence the Welch average converges to
@@ -271,9 +262,9 @@ def welch_expected_spectrum(kernel: CorrelationKernel, omega, order: int,
     sampled reciprocal diverges logarithmically), so the caller supplies the
     realized one, which is the single measured number in this object.
     """
-    w = float(omega)
-    lags = np.arange(1, segment_len) * dt
-    table = build_table(kernel, lags, order, acc)
+    w = finite_nonnegative(omega, "omega")
+    lags = np.arange(1, segment_len) * finite_positive(dt, "dt")
+    table = build_table(kernel, lags, order)
     wpow = np.array([w ** n / math.factorial(n) for n in table.orders])
     chat = (wpow[:, None] * table.centered).sum(axis=0)
 

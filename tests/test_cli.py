@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from recipspec.cli import main
 
 
@@ -38,6 +40,16 @@ class TestCoeffs:
                  "--tau-step", "0.5")
         assert rc == 2
 
+    @pytest.mark.parametrize("start, stop, step", [
+        ("0.5", "2.0", "0"), ("0.5", "2.0", "-0.5"), ("0.5", "2.0", "nan"),
+        ("0.5", "2.0", "inf"), ("2.0", "0.5", "0.5")])
+    def test_bad_lag_grid_exits_2(self, tmp_path, capsys, start, stop, step):
+        rc = run(tmp_path, "coeffs", "--tau-start", start, "--tau-stop", stop,
+                 "--tau-step", step)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "coeffs.csv").exists()
+
     def test_json_format(self, tmp_path):
         rc = run(tmp_path, "coeffs", "--tau-start", "1.0", "--tau-stop", "1.0",
                  "--tau-step", "1.0", "--max-order", "2", "--format", "json")
@@ -59,6 +71,15 @@ class TestSpectrum:
         assert meta0["dc_line_power"] == 0.0
         manifests = [n for n in names if n == "manifest.json"]
         assert len(manifests) == 1
+
+    @pytest.mark.parametrize("flag, value", [("--omega", "nan"), ("--a", "inf"),
+                                             ("--omega", "0.4,abc")])
+    def test_bad_number_exits_2(self, tmp_path, capsys, flag, value):
+        rc = run(tmp_path, "spectrum", flag, value, "--order", "4",
+                 "--dtau", "0.2", "--half-points", "32")
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not list(tmp_path.glob("spectrum_*.csv"))
 
     def test_unknown_kernel_exits_2(self, tmp_path):
         assert run(tmp_path, "spectrum", "--kernel", "tabulated") == 2

@@ -18,7 +18,6 @@ from recipspec.coefficients import (SMALL_R_THRESHOLD,
                                     omega_prime)
 from recipspec.errors import DomainError, UnsupportedOrderError
 from recipspec.kernels import DopplerLorentzian, FlatBand, Lorentzian
-from recipspec.specfun import DEFAULT_ACCURACY
 
 
 class TestLimits:
@@ -129,7 +128,7 @@ class TestSmallRPath:
         # the ray expansion must agree with the direct sum just above threshold
         for n in (0, 2, 4, 6):
             for u in (1.0, -1.0, cmath.exp(0.8j)):
-                lim, a1, a2 = _ray_coefficients(n, complex(u), DEFAULT_ACCURACY)
+                lim, a1, a2 = _ray_coefficients(n, complex(u))
                 t = 3e-4
                 direct = omega_n_general(n, u * t)
                 exp = lim + a1 * t + a2 * t * t

@@ -183,14 +183,15 @@ def load_tabulated_csv(path) -> Tabulated:
         for row in reader:
             if not row:
                 continue
-            if len(row) == 2:
-                lags.append(float(row[0]))
-                vals.append(complex(float(row[1]), 0.0))
-            elif len(row) >= 3:
-                lags.append(float(row[0]))
-                vals.append(complex(float(row[1]), float(row[2])))
-            else:
+            if len(row) < 2:
                 raise DomainError(f"{path}: rows must have 2 or 3 columns")
+            try:
+                cells = [float(x) for x in row[:3]]
+            except ValueError:
+                raise DomainError(
+                    f"{path}: row {reader.line_num}: non-numeric cell in {row!r}") from None
+            lags.append(cells[0])
+            vals.append(complex(cells[1], cells[2] if len(cells) == 3 else 0.0))
     return Tabulated(lags, vals)
 
 

@@ -42,6 +42,12 @@ class EvalAccuracy:
 
 DEFAULT_ACCURACY = EvalAccuracy()
 
+#: terms per block of the grid 2F1 series: the first block, and the cap on
+#: the doubling after it.  Each block costs a fixed number of numpy calls, and
+#: the terms a block computes past the returning term are wasted.
+_GRID_BLOCK_FIRST = 8
+_GRID_BLOCK_MAX = 64
+
 
 @dataclass(frozen=True)
 class MathConstants:
@@ -123,9 +129,33 @@ def gauss_2f1_regularized_grid(a: int, b: int, c: int, z: np.ndarray,
                                acc: EvalAccuracy = DEFAULT_ACCURACY) -> np.ndarray:
     """Vector form of :func:`gauss_2f1_regularized` over an array of z values.
 
-    Identical series and stopping logic, iterated until the geometric tail
-    bound clears rel_tol on every lane.  Used by the coefficient table builder
-    where one (a,b,c) triple is swept over a whole lag grid.
+    Used by the coefficient table builder, where one (a,b,c) triple is swept
+    over a whole lag grid.  The result equals the term-by-term recurrence
+    t *= ratio*z, s += t run on every lane until the scalar function's tail
+    test, with q = max(|ratio| zmax, zmax) over the whole grid, holds on all
+    lanes at once.  The terminating series (b <= 0) is summed that way.
+
+    Otherwise the series is summed in blocks of terms: ``_GRID_BLOCK_FIRST``
+    terms, then twice as many per block up to ``_GRID_BLOCK_MAX``.  A block is
+    one cumulative product of ratio*z along each lane, seeded with the lane's
+    running term, and one cumulative sum seeded with its running sum: the same
+    multiplications and the same left-to-right additions as the recurrence,
+    so every partial sum is bit for bit the recurrence's.  The tail test is
+    applied at every term, and the result is returned at the first term where
+    it holds on every lane still being summed.
+
+    Retirement: at the end of a block a lane whose tail test holds and whose
+    last term left its sum unchanged (s + t == s) is written out and no longer
+    summed.  Its sum is then final provided the terms are nonnegative, which
+    holds for a >= 1, b >= 1 and so for every triple the coefficient table
+    passes: once q < 1 no later term exceeds the last one, and rounding is
+    monotone, so no later term can change the sum, and the recurrence would
+    have returned the same value.  Without that precondition each lane still
+    stops only when its own tail bound clears rel_tol.
+
+    Raises DomainError outside z in [0,1) and AccuracyError, carrying the
+    partial sums of every lane (retired ones included) after ``max_terms``
+    terms and a tail estimate, if the budget is exhausted.
     """
     z = np.asarray(z, dtype=float)
     if z.size and (z.min() < 0.0 or z.max() >= 1.0):
@@ -154,18 +184,45 @@ def gauss_2f1_regularized_grid(a: int, b: int, c: int, z: np.ndarray,
     m = m0
     m_safe = 2 * (abs(a) + abs(b) + abs(c)) + 8
     zmax = float(z.max()) if z.size else 0.0
+    done = s.reshape(-1)  # a view: retired lanes are written through it
+    lane = np.arange(done.size)
+    zl, tl, sl = z.reshape(-1), t.reshape(-1), done.copy()
+    block = _GRID_BLOCK_FIRST
     while m - m0 < acc.max_terms:
-        ratio = (a + m) * (b + m) / ((m + 1.0) * (c + m))
-        t = t * (ratio * z)
-        m += 1
-        s += t
-        if m > m_safe:
-            q = max(abs(ratio) * zmax, zmax)
-            if q < 1.0 and np.all(np.abs(t) * q / (1.0 - q) <= acc.rel_tol * np.abs(s) + 1e-300):
+        k = min(block, acc.max_terms - (m - m0))
+        block = min(2 * block, _GRID_BLOCK_MAX)
+        # integer-valued floats, so products and ratios round as in the scalar loop
+        ms = np.arange(m, m + k, dtype=float)
+        ratio = (a + ms) * (b + ms) / ((ms + 1.0) * (c + ms))
+        terms = np.multiply.outer(zl, ratio)
+        terms[:, 0] *= tl
+        np.cumprod(terms, axis=1, out=terms)
+        sums = terms.copy()
+        sums[:, 0] += sl
+        np.cumsum(sums, axis=1, out=sums)
+        # column i holds term m + 1 + i; the tail test applies past m_safe where q < 1
+        q = np.maximum(np.abs(ratio) * zmax, zmax)
+        tested = (ms >= m_safe) & (q < 1.0)
+        m += k
+        if tested.any():
+            q = np.where(tested, q, 0.0)  # no division by 1 - q <= 0 on untested columns
+            ok = np.abs(terms) * q / (1.0 - q) <= acc.rel_tol * np.abs(sums) + 1e-300
+            ok &= tested
+            hit = np.flatnonzero(ok.all(axis=0))
+            if hit.size:
+                done[lane] = sums[:, hit[0]]
                 return s
+            prev = sums[:, -2] if k > 1 else sl
+            fin = ok[:, -1] & (sums[:, -1] == prev)
+            if fin.any():
+                done[lane[fin]] = sums[fin, -1]
+                keep = ~fin
+                lane, zl, terms, sums = lane[keep], zl[keep], terms[keep], sums[keep]
+        tl, sl = terms[:, -1], sums[:, -1]
+    done[lane] = sl
     raise AccuracyError(
         f"2F1reg grid ({a},{b};{c}) did not converge in {acc.max_terms} terms",
-        partial_value=s, tail_estimate=float(np.max(np.abs(t))) * zmax / max(1 - zmax, 1e-300))
+        partial_value=s, tail_estimate=float(np.max(np.abs(tl))) * zmax / max(1 - zmax, 1e-300))
 
 
 def hyp3f2_zero_balanced(z: float, acc: EvalAccuracy = DEFAULT_ACCURACY) -> float:

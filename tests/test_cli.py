@@ -84,6 +84,16 @@ class TestSpectrum:
     def test_unknown_kernel_exits_2(self, tmp_path):
         assert run(tmp_path, "spectrum", "--kernel", "tabulated") == 2
 
+    def test_non_numeric_table_cell_exits_2(self, tmp_path, capsys):
+        table = tmp_path / "bad.csv"
+        table.write_text("tau,re\n0.0,1.0\n0.5,abc\n1.0,0.25\n")
+        rc = run(tmp_path, "spectrum", "--kernel", "tabulated", "--table", str(table),
+                 "--omega", "0.4", "--order", "4", "--dtau", "0.2", "--half-points", "4")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bad.csv" in err and "row 3" in err
+        assert not list(tmp_path.glob("spectrum_*.csv"))
+
 
 class TestSimulate:
     ARGS = ("simulate", "--kernel", "lorentzian", "--omega", "0.6",

@@ -28,6 +28,63 @@ def f21reg_rational(a, b, c, z: Fraction) -> Fraction:
     return total
 
 
+def f21reg_grid_termwise(a, b, c, z, acc=EvalAccuracy()):
+    """Reference for the grid 2F1: the term-by-term loop, one term per step
+    on every lane, stopping when the tail test holds on all lanes at once."""
+    z = np.asarray(z, dtype=float)
+    m0 = 1 - c if c <= 0 else 0
+    if b <= 0 and -b < m0:
+        return np.zeros_like(z)
+    t = np.ones_like(z)
+    lead = 1.0
+    for i in range(m0):
+        lead *= (a + i) * (b + i) / (1.0 + i)
+    t *= lead * z ** m0
+    if m0 == 0:
+        t /= math.factorial(c - 1)
+    s = t.copy()
+    if b <= 0:
+        for m in range(m0, -b):
+            t = t * ((a + m) * (b + m) * z / ((m + 1.0) * (c + m)))
+            s += t
+        return s
+    m = m0
+    m_safe = 2 * (abs(a) + abs(b) + abs(c)) + 8
+    zmax = float(z.max())
+    while m - m0 < acc.max_terms:
+        ratio = (a + m) * (b + m) / ((m + 1.0) * (c + m))
+        t = t * (ratio * z)
+        m += 1
+        s += t
+        if m > m_safe:
+            q = max(abs(ratio) * zmax, zmax)
+            if q < 1.0 and np.all(np.abs(t) * q / (1.0 - q) <= acc.rel_tol * np.abs(s) + 1e-300):
+                return s
+    raise AccuracyError("no convergence", partial_value=s, tail_estimate=None)
+
+
+#: the (a, b, c) triples of the Omega_n double sum for every even n <= 20
+#: whose series does not terminate (b >= 1)
+TABLE_FAMILIES = sorted({(1 + j, 1 + j - k + n // 2, 2 + 2 * j - k)
+                         for n in range(0, 21, 2) for k in range(n + 1)
+                         for j in range(min(k, n // 2) + 1)
+                         if 1 + j - k + n // 2 >= 1})
+
+
+@st.composite
+def z_grids(draw):
+    """Up to a few thousand lanes mixing 0, values below 1e-8, middle values
+    and values up to 0.998, so that lanes retire in different blocks."""
+    size = draw(st.integers(1, 3000))
+    top = draw(st.one_of(st.just(0.998), st.floats(1e-8, 0.998)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = rng.integers(0, 3, size)
+    z = np.where(kind == 0, 0.0, np.where(kind == 1, rng.uniform(0.0, 1e-8, size),
+                                          rng.uniform(1e-8, top, size)))
+    z[rng.integers(size)] = top
+    return z
+
+
 class TestGauss2F1Regularized:
     def test_log_identity_spot(self):
         # 2F1(1,1;2;z) = -ln(1-z)/z, Gamma(2) = 1
@@ -76,6 +133,27 @@ class TestGauss2F1Regularized:
         with pytest.raises(AccuracyError) as exc:
             gauss_2f1_regularized(3, 4, 2, 0.999, tight)
         assert exc.value.partial_value is not None
+        assert exc.value.tail_estimate > 0
+
+    @given(st.sampled_from(TABLE_FAMILIES), z_grids())
+    @settings(max_examples=40, deadline=None)
+    def test_grid_bit_exact_against_termwise_loop(self, abc, z):
+        assert np.array_equal(gauss_2f1_regularized_grid(*abc, z),
+                              f21reg_grid_termwise(*abc, z))
+
+    @pytest.mark.parametrize("abc", [(1, 1, 2), (3, 4, 2)])
+    def test_grid_accuracy_error_carries_partial(self, abc):
+        # 40 terms is no whole number of blocks.  For (1, 1, 2) the zero and
+        # tiny lanes retire after 24 terms and the 0.3 lane after 40; for
+        # (3, 4, 2) q stays above 1 and no lane retires.  0.999 never converges.
+        tight = EvalAccuracy(rel_tol=1e-12, max_terms=40)
+        z = np.array([[0.0, 1e-9, 0.3], [0.999, 0.5, 1e-12]])
+        with pytest.raises(AccuracyError) as ref:
+            f21reg_grid_termwise(*abc, z, tight)
+        with pytest.raises(AccuracyError) as exc:
+            gauss_2f1_regularized_grid(*abc, z, tight)
+        assert exc.value.partial_value.shape == z.shape
+        assert np.array_equal(exc.value.partial_value, ref.value.partial_value)
         assert exc.value.tail_estimate > 0
 
     def test_grid_matches_scalar(self):

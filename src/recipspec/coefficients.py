@@ -14,18 +14,23 @@ integer factorial pole.  Odd orders vanish identically.  Low even orders have
 elementary closed forms for real r which this module also provides as an
 independent cross-check path.
 
-Numerical note: the double sum cancels increasingly violently as |r| -> 1 and
-n grows; in double precision the relative accuracy of Omega_n degrades past
-roughly n = 14 for |r| > 0.95.  Dividing by n! in the series does not hide
-this at larger omega (README, "High orders"); the tests pin accuracy exactly
-where the acceptance tolerances demand it.
+Numerical notes: the double sum cancels increasingly violently as |r| -> 1
+and n grows; in double precision the relative accuracy of Omega_n degrades
+past roughly n = 14 for |r| > 0.95.  Dividing by n! in the series does not
+hide this at larger omega (README, "High orders"); the tests pin accuracy
+exactly where the acceptance tolerances demand it.  As r -> 0 the sum's terms
+cancel to the limit omega_limit(n), so below SMALL_R_THRESHOLD Omega_n is
+evaluated from its Taylor polynomial in (r, conj(r)), whose coefficients are
+summed in exact rationals and rounded once.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -33,8 +38,10 @@ from .errors import DomainError, UnsupportedOrderError
 from .kernels import CorrelationKernel
 from .specfun import gauss_2f1_regularized, gauss_2f1_regularized_grid
 
-#: below this |r| the double sum is replaced by the centered ray expansion
+#: below this |r| the double sum is replaced by its exact Taylor polynomial
 SMALL_R_THRESHOLD = 1e-4
+#: total degree in (r, conj(r)) of that polynomial
+SMALL_R_DEGREE = 4
 
 
 def omega_limit(n: int) -> float:
@@ -66,50 +73,67 @@ def omega_bound(n: int, abs_r: float) -> float:
             / (1.0 - abs_r) ** (1.0 + n / 2.0))
 
 
-def _omega_general_direct(n: int, r: complex) -> complex:
-    """The literal double sum; assumes |r| in [SMALL_R_THRESHOLD, 1)."""
+def _double_sum(n: int, r, f21):
+    """The literal double sum at r, a complex or an array, with |r| in [SMALL_R_THRESHOLD, 1).
+
+    ``f21`` is the regularized 2F1 evaluator that fits r: the scalar
+    :func:`gauss_2f1_regularized` or :func:`gauss_2f1_regularized_grid`.
+    """
     z = abs(r) ** 2
     rs = r.conjugate()
-    total = 0.0 + 0.0j
+    total = 0
     for k in range(n + 1):
         for j in range(min(k, n // 2) + 1):
             comb = ((-1) ** k * math.factorial(n)
                     / (math.factorial(n // 2 - j) * math.factorial(k - j)))
-            f = gauss_2f1_regularized(1 + j, 1 + j - k + n // 2, 2 + 2 * j - k, z)
+            f = f21(1 + j, 1 + j - k + n // 2, 2 + 2 * j - k, z)
             total += comb * f * rs ** (2 * j - k + 1)
     return (-1) ** (n // 2) * total
 
 
-_RAY_CACHE: dict = {}
+def _rising(x: int, m: int) -> int:
+    """Pochhammer symbol (x)_m."""
+    return math.prod(range(x, x + m))
 
 
-def _ray_coefficients(n: int, u: complex):
-    """Quadratic expansion of Omega_n along the ray r = t*u, fitted at t = 1e-2.
+def _taylor_terms(n: int) -> list:
+    """Taylor polynomial of Omega_n in (r, conj(r)) to total degree SMALL_R_DEGREE.
 
-    Richardson elimination from evaluations at h and h/2 pins the linear and
-    quadratic coefficients around the exact limit value, avoiding the 0/0
-    cancellations of the direct sum at tiny |r|.
+    Term m of 2F1reg(a, b; c; |r|^2) * conj(r)^p is the monomial
+    r^m conj(r)^(m+p), with coefficient (a)_m (b)_m / (m! Gamma(c+m)).  The
+    coefficients of each monomial are summed exactly and rounded once.  As
+    c = p + 1, the poles of 1/Gamma leave no negative power of conj(r).
+    Returns (coefficient, power of r, power of conj(r)) from the highest
+    degree down, so the constant term omega_limit(n) is added last.
     """
-    key = (n, complex(u))
-    hit = _RAY_CACHE.get(key)
-    if hit is not None:
-        return hit
-    h = 1e-2
-    lim = omega_limit(n)
-    fh = _omega_general_direct(n, u * h)
-    fh2 = _omega_general_direct(n, u * (h / 2))
-    a1 = (4.0 * fh2 - fh - 3.0 * lim) / h
-    a2 = (fh - lim - a1 * h) / h ** 2
-    _RAY_CACHE[key] = (lim, a1, a2)
-    return lim, a1, a2
+    h = n // 2
+    coef = defaultdict(Fraction)
+    for k in range(n + 1):
+        for j in range(min(k, h) + 1):
+            a, b, c, p = 1 + j, 1 + j - k + h, 2 + 2 * j - k, 2 * j - k + 1
+            # 1/Gamma(c+m) vanishes for m < 1 - c
+            for m in range(max(0, 1 - c), (SMALL_R_DEGREE - p) // 2 + 1):
+                num = (-1) ** (k + h) * math.factorial(n) * _rising(a, m) * _rising(b, m)
+                den = (math.factorial(h - j) * math.factorial(k - j) * math.factorial(m)
+                       * math.factorial(c + m - 1))
+                coef[m, m + p] += Fraction(num, den)
+    assert not any(v for (_, e), v in coef.items() if e < 0), "negative powers of conj(r) remain"
+    return [(float(v), i, e) for (i, e), v in sorted(coef.items(), key=lambda t: -sum(t[0])) if v]
+
+
+def _taylor(n: int, r):
+    """Omega_n at r, a complex or an array, from :func:`_taylor_terms`; exact at r = 0."""
+    rs = r.conjugate()
+    return sum(v * r ** i * rs ** e for v, i, e in _taylor_terms(n))
 
 
 def omega_n_general(n: int, r: complex) -> complex:
     """Omega_n for arbitrary complex r with |r| < 1.
 
-    Odd n returns exactly 0. For |r| below SMALL_R_THRESHOLD the value comes
-    from the centered ray expansion (limit + linear + quadratic), never from
-    the raw sum, so r -> 0 is well-defined including r = 0 itself.
+    Odd n returns exactly 0.  For |r| >= SMALL_R_THRESHOLD the value is the
+    double sum with the scalar 2F1.  Below it, where the sum's terms cancel to
+    the limit, the value comes from the exact Taylor polynomial in
+    (r, conj(r)) of degree SMALL_R_DEGREE, so r = 0 gives omega_limit(n).
     """
     if n < 0:
         raise DomainError("order must be nonnegative")
@@ -117,14 +141,11 @@ def omega_n_general(n: int, r: complex) -> complex:
         return 0.0 + 0.0j
     r = complex(r)
     mag = abs(r)
-    if mag >= 1.0:
+    if not mag < 1.0:
         raise DomainError(f"omega_n_general requires |r| < 1, got |r| = {mag}")
     if mag < SMALL_R_THRESHOLD:
-        if mag == 0.0:
-            return complex(omega_limit(n))
-        lim, a1, a2 = _ray_coefficients(n, r / mag)
-        return lim + a1 * mag + a2 * mag * mag
-    return _omega_general_direct(n, r)
+        return _taylor(n, r)
+    return _double_sum(n, r, gauss_2f1_regularized)
 
 
 def omega_n_closed_real(n: int, r: float) -> float:
@@ -178,29 +199,18 @@ def omega_prime(n: int, r: complex) -> complex:
 # batch evaluation over a lag grid
 # ---------------------------------------------------------------------------
 
-def _omega_general_grid(n: int, r: np.ndarray) -> np.ndarray:
-    """Vectorized double sum over an array of r values (|r| >= threshold)."""
-    z = np.abs(r) ** 2
-    rs = np.conj(r)
-    total = np.zeros_like(rs, dtype=complex)
-    for k in range(n + 1):
-        for j in range(min(k, n // 2) + 1):
-            comb = ((-1) ** k * math.factorial(n)
-                    / (math.factorial(n // 2 - j) * math.factorial(k - j)))
-            f = gauss_2f1_regularized_grid(1 + j, 1 + j - k + n // 2, 2 + 2 * j - k, z)
-            total += comb * f * rs ** (2 * j - k + 1)
-    return (-1) ** (n // 2) * total
-
-
 def omega_n_over_grid(n: int, r: np.ndarray) -> np.ndarray:
     """Omega_n evaluated over an array of correlation values.
 
-    Splits the grid into the direct-sum region and the small-|r| expansion
-    region; results are identical to per-point :func:`omega_n_general`.
+    Lanes with |r| >= SMALL_R_THRESHOLD take the double sum with the grid 2F1,
+    which stops at the whole grid's term count rather than each point's, so
+    they agree with :func:`omega_n_general` to about 1e-8 relative, not
+    bitwise.  Lanes below the threshold take the same Taylor polynomial as
+    :func:`omega_n_general` and equal it exactly.
     """
     r = np.asarray(r, dtype=complex)
     mag = np.abs(r)
-    if mag.size and mag.max() >= 1.0:
+    if mag.size and not mag.max() < 1.0:
         raise DomainError("omega_n_over_grid requires |r| < 1 everywhere")
     out = np.empty(r.shape, dtype=complex)
     if n % 2 == 1:
@@ -208,24 +218,9 @@ def omega_n_over_grid(n: int, r: np.ndarray) -> np.ndarray:
         return out
     small = mag < SMALL_R_THRESHOLD
     if np.any(~small):
-        out[~small] = _omega_general_grid(n, r[~small])
+        out[~small] = _double_sum(n, r[~small], gauss_2f1_regularized_grid)
     if np.any(small):
-        idx = np.nonzero(small)[0]
-        lim = omega_limit(n)
-        re_all = np.isrealobj(r) or np.all(r[idx].imag == 0.0)
-        if re_all:
-            # two rays at most; vectorize per sign
-            for sgn in (1.0, -1.0):
-                m = idx[(np.sign(r[idx].real) == sgn)]
-                if m.size:
-                    l0, a1, a2 = _ray_coefficients(n, complex(sgn))
-                    t = mag[m]
-                    out[m] = l0 + a1 * t + a2 * t * t
-            zer = idx[r[idx] == 0.0]
-            out[zer] = lim
-        else:
-            for i in idx:
-                out[i] = omega_n_general(n, complex(r[i]))
+        out[small] = _taylor(n, r[small])
     return out
 
 
@@ -246,9 +241,6 @@ class CoefficientTable:
 
     #: column names of :meth:`rows`
     COLUMNS = ("tau", "n", "re_omega", "im_omega", "re_omega_prime", "im_omega_prime")
-
-    def order_index(self, n: int) -> int:
-        return self.orders.index(n)
 
     def rows(self) -> list:
         """One row per (lag, order), floats as round-trip ``repr`` strings."""
@@ -283,7 +275,7 @@ def build_table(kernel: CorrelationKernel, lags, max_order: int) -> CoefficientT
             "lag grid contains tau = 0 (|r| = 1 singularity); "
             "use a midpoint grid that excludes the origin")
     r = np.asarray(kernel.eval(lags), dtype=complex)
-    if np.abs(r).max() >= 1.0:
+    if not np.abs(r).max() < 1.0:
         raise DomainError("kernel reaches |r| = 1 on this grid")
     orders = list(range(0, max_order + 1, 2))
     values = np.empty((len(orders), len(lags)), dtype=complex)

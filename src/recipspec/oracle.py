@@ -149,7 +149,7 @@ def rss_quadrature(r: complex, omega, spec: QuadratureSpec = DEFAULT_QUADRATURE)
     ``spec.target_abs_tol``.
     """
     r = complex(r)
-    if abs(r) >= 1.0:
+    if not abs(r) < 1.0:
         raise DomainError(f"quadrature requires |r| < 1, got {abs(r)}")
     w = float(omega)
     coarse = _rss_single(r, w, spec)
@@ -173,7 +173,7 @@ def omega_n_quadrature(n: int, r: complex,
     if n < 0 or n > 8:
         raise DomainError("omega_n_quadrature supports 0 <= n <= 8")
     r = complex(r)
-    if abs(r) >= 1.0:
+    if not abs(r) < 1.0:
         raise DomainError(f"quadrature requires |r| < 1, got {abs(r)}")
     coarse = _omega_n_single(n, r, spec)
     fine = _omega_n_single(n, r, spec.doubled())
@@ -197,7 +197,7 @@ def rss_montecarlo(r: complex, omega, n_samples: int, seed: int,
     (>= 100 batches), never from the naive single-pass variance.
     """
     r = complex(r)
-    if abs(r) >= 1.0:
+    if not abs(r) < 1.0:
         raise DomainError(f"Monte Carlo requires |r| < 1, got {abs(r)}")
     if n_batches < 100:
         raise DomainError("need at least 100 batches for the stderr estimate")

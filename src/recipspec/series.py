@@ -111,7 +111,7 @@ def autocorrelation(r: complex, omega, order: int = 20) -> SeriesEvaluation:
     """Normalized autocorrelation partial sum: sum_{even n<=order} Omega_n w^n/n!."""
     w = finite_nonnegative(omega, "omega")
     r = complex(r)
-    if abs(r) >= 1.0:
+    if not abs(r) < 1.0:
         raise DomainError(f"series requires |r| < 1, got {abs(r)}")
     if order % 2 == 1 or order < 0:
         raise DomainError("truncation order must be even and nonnegative")

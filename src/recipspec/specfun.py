@@ -158,7 +158,7 @@ def gauss_2f1_regularized_grid(a: int, b: int, c: int, z: np.ndarray,
     terms and a tail estimate, if the budget is exhausted.
     """
     z = np.asarray(z, dtype=float)
-    if z.size and (z.min() < 0.0 or z.max() >= 1.0):
+    if z.size and not (z.min() >= 0.0 and z.max() < 1.0):
         raise DomainError("gauss_2f1_regularized_grid requires z in [0,1)")
 
     m0 = 1 - c if c <= 0 else 0

@@ -7,11 +7,11 @@ tests, so each assertion carries its own oracle.
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from recipspec.coefficients import (SMALL_R_THRESHOLD,
-                                    _ray_coefficients, build_table,
+from recipspec.coefficients import (SMALL_R_THRESHOLD, _taylor, build_table,
                                     omega0_closed, omega2_closed, omega_bound,
                                     omega_limit, omega_n_closed_real,
                                     omega_n_general, omega_n_over_grid,
@@ -125,29 +125,71 @@ class TestSmallRPath:
             assert omega_n_general(n, 0.0) == complex(omega_limit(n))
 
     def test_expansion_matches_direct_in_overlap(self):
-        # the ray expansion must agree with the direct sum just above threshold
-        for n in (0, 2, 4, 6):
+        # the Taylor polynomial must agree with the direct sum just above threshold
+        for n in (0, 2, 4, 6, 10, 20):
+            lim = omega_limit(n)
             for u in (1.0, -1.0, cmath.exp(0.8j)):
-                lim, a1, a2 = _ray_coefficients(n, complex(u))
-                t = 3e-4
-                direct = omega_n_general(n, u * t)
-                exp = lim + a1 * t + a2 * t * t
-                scale = max(1.0, abs(direct))
-                # dominated by the O(h^2) Richardson error in the linear term
-                assert abs(exp - direct) / scale < 2e-6
+                r = u * 3e-4
+                direct = omega_n_general(n, r)
+                poly = _taylor(n, complex(r))
+                assert abs(poly - direct) <= 1e-10 * abs(direct - lim) + 1e-15 * abs(lim)
 
     def test_continuity_across_threshold(self):
+        # relative to the centered value: |Omega_n| ~ |lim| would hide a jump
         t = SMALL_R_THRESHOLD
-        for n in (0, 2, 6):
-            below = omega_n_general(n, 0.999 * t)
-            above = omega_n_general(n, 1.001 * t)
-            scale = max(1.0, abs(above))
-            assert abs(below - above) / scale < 1e-6
+        for n in (0, 2, 6, 20):
+            lim = omega_limit(n)
+            for u in (1.0, -1.0, cmath.exp(0.8j)):
+                below = omega_n_general(n, u * t * (1 - 1e-9))
+                above = omega_n_general(n, u * t)
+                assert abs(below - above) <= 1e-8 * abs(above - lim) + 1e-15 * abs(lim)
+
+    def test_grid_equals_scalar_below_threshold(self):
+        r = np.array([0.0, 1e-7, -3e-5, 9.99e-5, 5e-5 * cmath.exp(2.1j)])
+        for n in (0, 2, 8, 20):
+            grid = omega_n_over_grid(n, r)
+            assert list(grid) == [omega_n_general(n, x) for x in r]
 
     def test_limit_consistency(self):
         for n in (0, 2, 4, 6):
             diff = abs(omega_n_general(n, 1e-3) - omega_limit(n))
             assert diff < 0.01 * max(1.0, abs(omega_limit(n)))
+
+
+def _mp_omega(n: int, r: complex) -> complex:
+    """Omega_n from the double sum at 100 digits in mpmath, sharing no code with recipspec."""
+    h = n // 2
+    with mp.workdps(100):
+        r = mp.mpc(r.real, r.imag)
+        z, rs = abs(r) ** 2, mp.conj(r)
+        total = mp.mpc(0)
+        for k in range(n + 1):
+            for j in range(min(k, h) + 1):
+                a, b, c = 1 + j, 1 + j - k + h, 2 + 2 * j - k
+                f, m = mp.mpf(0), 0
+                while True:
+                    t = mp.rf(a, m) * mp.rf(b, m) / mp.factorial(m) * mp.rgamma(c + m) * z ** m
+                    f += t
+                    # past the poles of 1/Gamma: stop once terminated or converged
+                    if m >= 1 - c and (t == 0 if b <= 0 else abs(t) < mp.eps * abs(f)):
+                        break
+                    m += 1
+                comb = (-1) ** k * mp.factorial(n) / (mp.factorial(h - j) * mp.factorial(k - j))
+                total += comb * f * rs ** (2 * j - k + 1)
+        return complex((-1) ** h * total)
+
+
+class TestMpmathReference:
+    @pytest.mark.parametrize("n", [0, 2, 6, 10, 20])
+    def test_small_and_threshold_r(self, n):
+        m = n // 2
+        lim = 2 * (-1) ** (m + 1) * (2 ** m - 1) * math.factorial(n) / math.factorial(m + 1)
+        for mag in (1e-6, 3e-5, 9.99e-5, 1.001e-4, 1e-3):
+            for phase in (0.0, math.pi, 0.8):
+                r = cmath.rect(mag, phase)
+                got, ref = omega_n_general(n, r), _mp_omega(n, r)
+                # one rounding of Omega_n ~ lim limits the centered error near lim
+                assert abs(got - ref) <= 1e-11 * abs(ref - lim) + 1e-15 * abs(lim), (mag, phase)
 
 
 class TestGridEvaluation:

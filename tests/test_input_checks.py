@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 from recipspec.bounds import gaussian_l1_bound, lorentzian_l1_bound, lorentzian_l1_numeric
+from recipspec.coefficients import omega_n_general, omega_n_over_grid
 from recipspec.errors import ConfigError, DomainError
 from recipspec.kernels import DopplerLorentzian, GaussianKernel, Lorentzian, Tabulated
-from recipspec.oracle import rss_montecarlo
+from recipspec.oracle import omega_n_quadrature, rss_montecarlo, rss_quadrature
 from recipspec.series import (OmegaRatio, asymptotic_floor, autocorrelation,
                               autocovariance, denormalize, floor_partial)
 from recipspec.simulator import SimulationConfig, invert
+from recipspec.specfun import gauss_2f1_regularized_grid
 from recipspec.spectrum import TauGrid, theoretical_spectrum, welch_expected_spectrum
 
 NONFINITE = [math.nan, math.inf, -math.inf]
@@ -37,6 +39,14 @@ def _welch(omega=0.5, dt=0.1):
 #: name -> (call taking the bad number, expected exception, bad numbers)
 ENTRY_POINTS = {
     "autocorrelation.omega": (lambda x: autocorrelation(0.5, x, 4), DomainError, BAD_OMEGA),
+    "autocorrelation.r": (lambda x: autocorrelation(x, 0.5, 4), DomainError, NONFINITE),
+    "omega_n_general.r": (lambda x: omega_n_general(20, x), DomainError, NONFINITE),
+    "omega_n_over_grid.r": (lambda x: omega_n_over_grid(20, np.array([0.5, x])),
+                            DomainError, NONFINITE),
+    "gauss_2f1_regularized_grid.z": (lambda x: gauss_2f1_regularized_grid(1, 1, 2, [0.5, x]),
+                                     DomainError, NONFINITE),
+    "rss_quadrature.r": (lambda x: rss_quadrature(x, 0.5), DomainError, NONFINITE),
+    "omega_n_quadrature.r": (lambda x: omega_n_quadrature(2, x), DomainError, NONFINITE),
     "autocovariance.omega": (lambda x: autocovariance(0.5, x, 4), DomainError, BAD_OMEGA),
     "asymptotic_floor.omega": (asymptotic_floor, DomainError, BAD_OMEGA),
     "floor_partial.omega": (lambda x: floor_partial(x, 4), DomainError, BAD_OMEGA),
@@ -62,6 +72,7 @@ ENTRY_POINTS = {
     "gaussian_l1_bound.a": (gaussian_l1_bound, DomainError, NONFINITE),
     "rss_montecarlo.omega": (lambda x: rss_montecarlo(0.5, x, 1000, seed=1),
                              DomainError, BAD_OMEGA),
+    "rss_montecarlo.r": (lambda x: rss_montecarlo(x, 0.5, 1000, seed=1), DomainError, NONFINITE),
     "Tabulated.lag": (lambda x: Tabulated([0.0, x, 2.0], [1.0, 0.5, 0.2]),
                       DomainError, NONFINITE),
     "Tabulated.value": (lambda x: Tabulated([0.0, 1.0, 2.0], [1.0, x, 0.2]),

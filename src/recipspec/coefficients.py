@@ -22,6 +22,9 @@ exactly where the acceptance tolerances demand it.  As r -> 0 the sum's terms
 cancel to the limit omega_limit(n), so below SMALL_R_THRESHOLD Omega_n is
 evaluated from its Taylor polynomial in (r, conj(r)), whose coefficients are
 summed in exact rationals and rounded once.
+
+Every Omega_n value comes from one path, omega_n_over_grid over an array of
+r; omega_n_general is its one-lane case.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedOrderError
 from .kernels import CorrelationKernel
-from .specfun import gauss_2f1_regularized, gauss_2f1_regularized_grid
+from .specfun import gauss_2f1_regularized_grid
 
 #: below this |r| the double sum is replaced by its exact Taylor polynomial
 SMALL_R_THRESHOLD = 1e-4
@@ -73,11 +76,10 @@ def omega_bound(n: int, abs_r: float) -> float:
             / (1.0 - abs_r) ** (1.0 + n / 2.0))
 
 
-def _double_sum(n: int, r, f21):
-    """The literal double sum at r, a complex or an array, with |r| in [SMALL_R_THRESHOLD, 1).
+def _double_sum(n: int, r: np.ndarray) -> np.ndarray:
+    """The literal double sum over an array r with every |r| in [SMALL_R_THRESHOLD, 1).
 
-    ``f21`` is the regularized 2F1 evaluator that fits r: the scalar
-    :func:`gauss_2f1_regularized` or :func:`gauss_2f1_regularized_grid`.
+    Each 2F1 is one :func:`gauss_2f1_regularized_grid` call over all of r.
     """
     z = abs(r) ** 2
     rs = r.conjugate()
@@ -86,7 +88,7 @@ def _double_sum(n: int, r, f21):
         for j in range(min(k, n // 2) + 1):
             comb = ((-1) ** k * math.factorial(n)
                     / (math.factorial(n // 2 - j) * math.factorial(k - j)))
-            f = f21(1 + j, 1 + j - k + n // 2, 2 + 2 * j - k, z)
+            f = gauss_2f1_regularized_grid(1 + j, 1 + j - k + n // 2, 2 + 2 * j - k, z)
             total += comb * f * rs ** (2 * j - k + 1)
     return (-1) ** (n // 2) * total
 
@@ -130,22 +132,15 @@ def _taylor(n: int, r):
 def omega_n_general(n: int, r: complex) -> complex:
     """Omega_n for arbitrary complex r with |r| < 1.
 
-    Odd n returns exactly 0.  For |r| >= SMALL_R_THRESHOLD the value is the
-    double sum with the scalar 2F1.  Below it, where the sum's terms cancel to
-    the limit, the value comes from the exact Taylor polynomial in
-    (r, conj(r)) of degree SMALL_R_DEGREE, so r = 0 gives omega_limit(n).
+    The one-lane case of :func:`omega_n_over_grid`, so it is bit for bit
+    that function's value on a one-element grid.  Odd n returns exactly 0
+    without evaluating anything.
     """
     if n < 0:
         raise DomainError("order must be nonnegative")
     if n % 2 == 1:
         return 0.0 + 0.0j
-    r = complex(r)
-    mag = abs(r)
-    if not mag < 1.0:
-        raise DomainError(f"omega_n_general requires |r| < 1, got |r| = {mag}")
-    if mag < SMALL_R_THRESHOLD:
-        return _taylor(n, r)
-    return _double_sum(n, r, gauss_2f1_regularized)
+    return complex(omega_n_over_grid(n, complex(r)))
 
 
 def omega_n_closed_real(n: int, r: float) -> float:
@@ -200,25 +195,29 @@ def omega_prime(n: int, r: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 def omega_n_over_grid(n: int, r: np.ndarray) -> np.ndarray:
-    """Omega_n evaluated over an array of correlation values.
+    """Omega_n evaluated over an array of correlation values, the one Omega_n path.
 
-    Lanes with |r| >= SMALL_R_THRESHOLD take the double sum with the grid 2F1,
-    which stops at the whole grid's term count rather than each point's, so
-    they agree with :func:`omega_n_general` to about 1e-8 relative, not
-    bitwise.  Lanes below the threshold take the same Taylor polynomial as
-    :func:`omega_n_general` and equal it exactly.
+    Lanes with |r| >= SMALL_R_THRESHOLD take the double sum.  Its grid 2F1
+    stops at the whole grid's term count rather than each lane's, so such a
+    lane agrees with the same r evaluated alone (as :func:`omega_n_general`
+    does) to about 1e-8 relative, not bitwise.  Lanes below the threshold,
+    where the sum's terms cancel to the limit, take the exact Taylor
+    polynomial in (r, conj(r)) of degree SMALL_R_DEGREE, which does not
+    depend on the other lanes; r = 0 gives omega_limit(n).  Odd n gives
+    zeros.
     """
+    if n < 0:
+        raise DomainError("order must be nonnegative")
     r = np.asarray(r, dtype=complex)
     mag = np.abs(r)
     if mag.size and not mag.max() < 1.0:
         raise DomainError("omega_n_over_grid requires |r| < 1 everywhere")
-    out = np.empty(r.shape, dtype=complex)
     if n % 2 == 1:
-        out[:] = 0.0
-        return out
+        return np.zeros(r.shape, dtype=complex)
+    out = np.empty(r.shape, dtype=complex)
     small = mag < SMALL_R_THRESHOLD
     if np.any(~small):
-        out[~small] = _double_sum(n, r[~small], gauss_2f1_regularized_grid)
+        out[~small] = _double_sum(n, r[~small])
     if np.any(small):
         out[small] = _taylor(n, r[small])
     return out

@@ -23,7 +23,7 @@ from scipy.signal import lfilter, oaconvolve
 from .errors import (ConfigError, DomainError, StatisticalQualityError,
                      finite_nonnegative, finite_positive)
 from .kernels import CorrelationKernel, FlatBand, Lorentzian
-from .spectrum import (SpectrumResult, theoretical_spectrum, TauGrid,
+from .spectrum import (SpectrumResult, theoretical_spectrum, TauGrid, make_window,
                        welch_covariance_spectrum, welch_expected_spectrum)
 
 _CHUNK = 1 << 18
@@ -255,6 +255,7 @@ def run_experiment(config: SimulationConfig, order: Optional[int] = None,
     """
     if order is None:
         order = 10 if isinstance(config.kernel, FlatBand) else 20
+    make_window(window_kind, segment_len)  # a bad Welch setting fails before any sample
     w_seq = generate_gaussian(config)
     if dump_path is not None:
         dump_samples(w_seq, dump_path)

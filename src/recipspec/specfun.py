@@ -5,7 +5,8 @@ double precision; no external special-function library is used.  The menu is
 deliberately small because the callers only ever need:
 
 * the regularized Gauss hypergeometric function 2F1(a,b;c;z)/Gamma(c) with
-  integer parameters and z = |r|^2 in [0, 1),
+  integer parameters and z = |r|^2 in [0, 1), summed by one evaluator over
+  an array of z; the scalar function is its one-lane case,
 * the zero-balanced series 3F2(1,1,1; 3/2,3/2; z) = sum_k (k!)^2 z^k / ((3/2)_k)^2,
 * the modified Struve function L0,
 * a couple of classical constants.
@@ -73,71 +74,34 @@ def _int_gamma(c: int) -> float:
 
 def gauss_2f1_regularized(a: int, b: int, c: int, z: float,
                           acc: EvalAccuracy = DEFAULT_ACCURACY) -> float:
-    """Regularized Gauss hypergeometric function 2F1(a,b;c;z)/Gamma(c).
+    """Regularized Gauss hypergeometric function 2F1(a,b;c;z)/Gamma(c) at one z.
 
-    Series: sum_m (a)_m (b)_m z^m / (m! Gamma(c+m)).  For b <= 0 the series
-    terminates at m = -b (polynomial); for c <= 0 the first 1-c terms vanish
-    because 1/Gamma hits a pole, so the result stays finite.
-
-    Parameters are integers by construction of the callers; z must lie in
-    [0, 1).  Raises DomainError outside the domain and AccuracyError (carrying
-    the partial sum and a tail estimate) if the budget is exhausted.
+    The one-lane case of :func:`gauss_2f1_regularized_grid`, which holds the
+    series, its domain checks and its AccuracyError.
     """
-    if not 0.0 <= z < 1.0:
-        raise DomainError(f"gauss_2f1_regularized requires z in [0,1), got {z}")
-
-    m0 = 1 - c if c <= 0 else 0
-    if b <= 0 and -b < m0:
-        return 0.0  # every surviving Pochhammer term sits on a Gamma pole
-
-    # leading term at m0; note Gamma(c+m0) = Gamma(1) = 1 when m0 = 1-c
-    t = 1.0
-    for i in range(m0):
-        t *= (a + i) * (b + i) / (1.0 + i)
-    t *= z ** m0
-    if m0 == 0:
-        t /= _int_gamma(c)
-    s = t
-
-    if b <= 0:
-        # terminating: exact finite loop
-        for m in range(m0, -b):
-            t *= (a + m) * (b + m) * z / ((m + 1.0) * (c + m))
-            s += t
-        return s
-
-    m = m0
-    m_safe = 2 * (abs(a) + abs(b) + abs(c)) + 8
-    while m - m0 < acc.max_terms:
-        ratio = (a + m) * (b + m) * z / ((m + 1.0) * (c + m))
-        t *= ratio
-        m += 1
-        s += t
-        if m > m_safe:
-            q = max(abs(ratio), z)
-            if q < 1.0:
-                tail = abs(t) * q / (1.0 - q)
-                if tail <= acc.rel_tol * abs(s):
-                    return s
-    tail = abs(t) * z / max(1.0 - z, 1e-300)
-    raise AccuracyError(
-        f"2F1reg({a},{b};{c};{z}) did not converge in {acc.max_terms} terms",
-        partial_value=s, tail_estimate=tail)
+    return float(gauss_2f1_regularized_grid(a, b, c, z, acc))
 
 
 def gauss_2f1_regularized_grid(a: int, b: int, c: int, z: np.ndarray,
                                acc: EvalAccuracy = DEFAULT_ACCURACY) -> np.ndarray:
-    """Vector form of :func:`gauss_2f1_regularized` over an array of z values.
+    """Regularized 2F1(a,b;c;z)/Gamma(c) over an array of z values, of any shape.
 
-    Used by the coefficient table builder, where one (a,b,c) triple is swept
-    over a whole lag grid.  The result equals the term-by-term recurrence
-    t *= ratio*z, s += t run on every lane until the scalar function's tail
-    test, with q = max(|ratio| zmax, zmax) over the whole grid, holds on all
-    lanes at once.  The terminating series (b <= 0) is summed that way.
+    Series: sum_m (a)_m (b)_m z^m / (m! Gamma(c+m)).  For b <= 0 it
+    terminates at m = -b and is summed term by term, t *= ratio*z, s += t.
+    For c <= 0 the first 1-c terms vanish because 1/Gamma hits a pole, so the
+    sum starts at m0 = 1-c and stays finite.  Parameters are integers by
+    construction of the callers.
 
-    Otherwise the series is summed in blocks of terms: ``_GRID_BLOCK_FIRST``
-    terms, then twice as many per block up to ``_GRID_BLOCK_MAX``.  A block is
-    one cumulative product of ratio*z along each lane, seeded with the lane's
+    The result of the non-terminating series equals that recurrence run on
+    every lane until the tail test |t| q/(1-q) <= rel_tol |s|, with
+    q = max(|ratio| zmax, zmax) over the whole grid and applied past
+    m_safe = 2(|a|+|b|+|c|)+8 terms, holds on all lanes at once.  A lane's
+    value therefore depends on the other lanes of its call through zmax and
+    the shared stopping term; a one-lane call is the per-point series.
+
+    That series is summed in blocks of terms: ``_GRID_BLOCK_FIRST`` terms,
+    then twice as many per block up to ``_GRID_BLOCK_MAX``.  A block is one
+    cumulative product of ratio*z along each lane, seeded with the lane's
     running term, and one cumulative sum seeded with its running sum: the same
     multiplications and the same left-to-right additions as the recurrence,
     so every partial sum is bit for bit the recurrence's.  The tail test is
@@ -191,7 +155,7 @@ def gauss_2f1_regularized_grid(a: int, b: int, c: int, z: np.ndarray,
     while m - m0 < acc.max_terms:
         k = min(block, acc.max_terms - (m - m0))
         block = min(2 * block, _GRID_BLOCK_MAX)
-        # integer-valued floats, so products and ratios round as in the scalar loop
+        # integer-valued floats, so products and ratios round as in the term-by-term recurrence
         ms = np.arange(m, m + k, dtype=float)
         ratio = (a + ms) * (b + ms) / ((ms + 1.0) * (c + ms))
         terms = np.multiply.outer(zl, ratio)

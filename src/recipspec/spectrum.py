@@ -175,15 +175,21 @@ def theoretical_spectrum(kernel: CorrelationKernel, omega, order: int,
 # ---------------------------------------------------------------------------
 
 def make_window(kind: str, n: int) -> np.ndarray:
-    """Periodic analysis windows for segment periodograms."""
+    """Periodic analysis windows for segment periodograms of n >= 2 samples.
+
+    ``kind`` is ``hann``, ``boxcar`` or ``kaiser<beta>`` (beta defaults to 8).
+    Raises DomainError for any other kind, a beta that is not a finite
+    number >= 0, or n < 2.
+    """
+    if n < 2:
+        raise DomainError(f"segment_len must be >= 2, got {n}")
     kind = kind.lower()
     if kind == "hann":
         return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
     if kind == "boxcar":
         return np.ones(n)
     if kind.startswith("kaiser"):
-        beta = float(kind[6:] or 8.0)
-        return np.kaiser(n, beta)
+        return np.kaiser(n, finite_nonnegative(kind[6:] or 8.0, "kaiser beta"))
     raise DomainError(f"unknown window kind {kind!r}")
 
 
@@ -263,12 +269,12 @@ def welch_expected_spectrum(kernel: CorrelationKernel, omega, order: int,
     realized one, which is the single measured number in this object.
     """
     w = finite_nonnegative(omega, "omega")
+    win = make_window(window_kind, segment_len)
     lags = np.arange(1, segment_len) * finite_positive(dt, "dt")
     table = build_table(kernel, lags, order)
     wpow = np.array([w ** n / math.factorial(n) for n in table.orders])
     chat = (wpow[:, None] * table.centered).sum(axis=0)
 
-    win = make_window(window_kind, segment_len)
     rho = window_lag_taper(win)
     g = chat * rho[1:segment_len]
     circ = np.zeros(segment_len, dtype=complex)

@@ -130,9 +130,10 @@ def check_limit_identity():
 def check_bounds():
     """|Omega_n| under the magnitude bound; absolute integral under its majorant."""
     ok = True
+    absrs = [x / 10 for x in range(1, 10)]
     for n in range(2, 21, 2):
-        for absr in [x / 10 for x in range(1, 10)]:
-            v = abs(coefficients.omega_n_general(n, absr))
+        values = np.abs(coefficients.omega_n_over_grid(n, np.array(absrs)))
+        for v, absr in zip(values, absrs):
             if v >= coefficients.omega_bound(n, absr):
                 ok = False
     margins = {}

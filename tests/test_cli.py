@@ -122,6 +122,16 @@ class TestSimulate:
                  "--dt", "0.3", "--samples", str(1 << 17))
         assert rc == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--segment-len", "0"), ("--segment-len", "1"), ("--segment-len", "-4"),
+        ("--window", "kaiserabc"), ("--window", "kaisernan")])
+    def test_bad_welch_setting_exits_2_before_sampling(self, tmp_path, capsys, flag, value):
+        rc = run(tmp_path, "simulate", "--kernel", "lorentzian", "--samples", str(1 << 16),
+                 "--dump-samples", "samples.bin", flag, value)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not list(tmp_path.iterdir())  # neither the sample dump nor a CSV
+
 
 class TestBounds:
     def test_lorentzian_value(self, tmp_path, capsys):

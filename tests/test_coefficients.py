@@ -18,6 +18,7 @@ from recipspec.coefficients import (SMALL_R_THRESHOLD, _taylor, build_table,
                                     omega_prime)
 from recipspec.errors import DomainError, UnsupportedOrderError
 from recipspec.kernels import DopplerLorentzian, FlatBand, Lorentzian
+from recipspec.specfun import gauss_2f1_regularized, gauss_2f1_regularized_grid
 
 
 class TestLimits:
@@ -210,6 +211,19 @@ class TestGridEvaluation:
             grid = omega_n_over_grid(n, r)
             point = np.array([omega_n_general(n, complex(x)) for x in r])
             np.testing.assert_allclose(grid, point, rtol=1e-10, atol=1e-12)
+
+    def test_general_is_the_one_lane_grid(self):
+        # one path: the scalar functions are bit for bit a one-element grid call
+        t = SMALL_R_THRESHOLD
+        xs = [0.0, 0.5 * t, -0.9 * t, t, 2 * t, -3e-3, 0.5, -0.9, 0.93,
+              0.3 * cmath.exp(0.8j), 0.8 * cmath.exp(-2.1j), 0.5 * t * cmath.exp(2.1j)]
+        for n in (0, 2, 8, 20):
+            for x in xs:
+                assert omega_n_general(n, x) == omega_n_over_grid(n, np.array([x]))[0], (n, x)
+        for a, b, c in [(1, 1, 2), (2, 3, -1), (4, -2, 3), (1, 1, 0), (5, 2, -4), (11, 1, 2)]:
+            for z in (0.0, 1e-9, 0.25, 0.81, 0.97):
+                assert gauss_2f1_regularized(a, b, c, z) == \
+                    gauss_2f1_regularized_grid(a, b, c, np.array([z]))[0], (a, b, c, z)
 
 
 class TestBuildTable:

@@ -18,10 +18,12 @@ from recipspec.series import (OmegaRatio, asymptotic_floor, autocorrelation,
                               autocovariance, denormalize, floor_partial)
 from recipspec.simulator import SimulationConfig, invert
 from recipspec.specfun import gauss_2f1_regularized_grid
-from recipspec.spectrum import TauGrid, theoretical_spectrum, welch_expected_spectrum
+from recipspec.spectrum import (TauGrid, make_window, theoretical_spectrum,
+                                welch_covariance_spectrum, welch_expected_spectrum)
 
 NONFINITE = [math.nan, math.inf, -math.inf]
 BAD_OMEGA = NONFINITE + [-0.5]
+BAD_SEGMENT_LEN = [0, 1, -4]
 GRID = TauGrid(dtau=0.1, half_points=16)
 SAMPLES = np.ones(4, dtype=complex)
 
@@ -32,8 +34,8 @@ def _config(**kw):
     return SimulationConfig(**base)
 
 
-def _welch(omega=0.5, dt=0.1):
-    return welch_expected_spectrum(Lorentzian(1.0), omega, 4, dt, 64, "hann", 1.0)
+def _welch(omega=0.5, dt=0.1, segment_len=64):
+    return welch_expected_spectrum(Lorentzian(1.0), omega, 4, dt, segment_len, "hann", 1.0)
 
 
 #: name -> (call taking the bad number, expected exception, bad numbers)
@@ -43,6 +45,8 @@ ENTRY_POINTS = {
     "omega_n_general.r": (lambda x: omega_n_general(20, x), DomainError, NONFINITE),
     "omega_n_over_grid.r": (lambda x: omega_n_over_grid(20, np.array([0.5, x])),
                             DomainError, NONFINITE),
+    "omega_n_over_grid.n": (lambda x: omega_n_over_grid(x, np.array([0.5, 1e-6])),
+                            DomainError, [-2, -1]),
     "gauss_2f1_regularized_grid.z": (lambda x: gauss_2f1_regularized_grid(1, 1, 2, [0.5, x]),
                                      DomainError, NONFINITE),
     "rss_quadrature.r": (lambda x: rss_quadrature(x, 0.5), DomainError, NONFINITE),
@@ -58,6 +62,12 @@ ENTRY_POINTS = {
                                    DomainError, BAD_OMEGA),
     "welch_expected_spectrum.omega": (lambda x: _welch(omega=x), DomainError, BAD_OMEGA),
     "welch_expected_spectrum.dt": (lambda x: _welch(dt=x), DomainError, NONFINITE),
+    "welch_expected_spectrum.segment_len": (lambda x: _welch(segment_len=x),
+                                            DomainError, BAD_SEGMENT_LEN),
+    "welch_covariance_spectrum.segment_len": (
+        lambda x: welch_covariance_spectrum(SAMPLES, 0.1, segment_len=x),
+        DomainError, BAD_SEGMENT_LEN),
+    "make_window.kaiser_beta": (lambda x: make_window(f"kaiser{x}", 64), DomainError, BAD_OMEGA),
     "TauGrid.dtau": (lambda x: TauGrid(dtau=x, half_points=16), DomainError, NONFINITE),
     "SimulationConfig.omega": (lambda x: _config(omega=x), ConfigError, BAD_OMEGA),
     "SimulationConfig.dt": (lambda x: _config(dt=x), ConfigError, NONFINITE),

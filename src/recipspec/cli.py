@@ -44,15 +44,31 @@ def _load_config_file(path) -> dict:
     return out
 
 
+def _config_bool(value: str) -> bool:
+    if value not in ("true", "false"):
+        raise ConfigError(f"expected true or false, got {value!r}")
+    return value == "true"
+
+
 def _resolve(args: argparse.Namespace, converters: dict) -> dict:
-    """Fill parse results from the optional config file; flags win."""
+    """Fill parse results from the optional config file; flags win.
+
+    A config key that is not an option of the subcommand, or a value its
+    converter rejects, raises ConfigError.
+    """
     config = _load_config_file(args.config) if args.config else {}
+    unknown = sorted(set(config) - set(converters))
+    if unknown:
+        raise ConfigError(f"unknown config keys for {args.command}: {', '.join(unknown)}")
     resolved = {}
     for key, (conv, default) in converters.items():
         val = getattr(args, key, None)
         if val is None:
             raw = config.get(key)
-            val = conv(raw) if raw is not None else default
+            try:
+                val = conv(raw) if raw is not None else default
+            except ValueError as exc:
+                raise ConfigError(f"config {key}: {exc}") from None
         resolved[key] = val
     return resolved
 
@@ -161,7 +177,7 @@ def cmd_simulate(args) -> int:
         "omega": (float, 0.0), "order": (int, None), "dt": (float, 0.1),
         "samples": (int, 2 ** 22), "fir_taps": (int, 1025),
         "segment_len": (int, 4096), "overlap": (float, 0.5),
-        "window": (str, "hann"), "robust": (bool, False),
+        "window": (str, "hann"), "robust": (_config_bool, False),
         "threads": (int, 1), "dump_samples": (str, None),
         "out_dir": (str, "."), "format": (str, "csv"), "seed": (int, 12345),
     })

@@ -62,18 +62,22 @@ def omega_limit(n: int) -> float:
     return float((-1) ** (m + 1) * num // math.factorial(m + 1))
 
 
-def omega_bound(n: int, abs_r: float) -> float:
+def omega_bound(n: int, abs_r):
     """Magnitude majorant for Omega_n: 2^(3n/2-1) n pi Gamma(n/2) (1-|r|)^(-1-n/2).
 
-    Valid for even n >= 2 and |r| < 1.  Loose by design; used as an inequality
-    gate and as the term majorant behind series tail estimates.
+    Valid for even n >= 2 and |r| < 1 (one value or an array).  Loose by design;
+    used as an inequality gate and as the term majorant behind series tail estimates.
     """
     if n < 2 or n % 2 == 1:
         raise DomainError("bound defined for even n >= 2")
-    if not 0.0 <= abs_r < 1.0:
-        raise DomainError(f"bound requires |r| < 1, got {abs_r}")
-    return (2.0 ** (1.5 * n - 1) * n * math.pi * math.factorial(n // 2 - 1)
-            / (1.0 - abs_r) ** (1.0 + n / 2.0))
+    abs_r = np.asarray(abs_r, dtype=float)
+    bad = ~((0.0 <= abs_r) & (abs_r < 1.0))
+    if bad.any():
+        raise DomainError(f"bound requires |r| < 1, got {abs_r[bad][0]}")
+    # vector pow even for one |r| (numpy's scalar pow rounds differently); overflow gives inf
+    with np.errstate(over="ignore", divide="ignore"):
+        return (2.0 ** (1.5 * n - 1) * n * math.pi * math.factorial(n // 2 - 1)
+                / (1.0 - abs_r.reshape(-1)) ** (1.0 + n / 2.0)).reshape(abs_r.shape)[()]
 
 
 def _double_sum(n: int, r: np.ndarray) -> np.ndarray:
@@ -292,7 +296,7 @@ def _check_bounds(orders, mag, values) -> None:
     for i, n in enumerate(orders):
         if n < 2:
             continue
-        bnd = np.array([omega_bound(n, m) for m in mag])
+        bnd = omega_bound(n, mag)
         if np.any(np.abs(values[i]) >= bnd):
             k = int(np.argmax(np.abs(values[i]) / bnd))
             raise DomainError(

@@ -2,12 +2,12 @@
 autocovariance of the reciprocal process, plus the asymptotic floor.
 
 The expansion variable is the mean-to-standard-deviation ratio of the
-underlying Gaussian process; only even powers appear.  The autocovariance
-series uses the centered coefficients, so by construction
+underlying Gaussian process; only even powers appear.  Every truncated sum is
+one :func:`partial_sum` over arrays.  The autocovariance is the autocorrelation
+minus :func:`floor_partial`, the same sum over the coefficients' large-lag
+limits, so this holds exactly:
 
-    autocovariance(r, w, N) + floor_partial(w, N) == autocorrelation(r, w, N)
-
-holds exactly (same coefficient evaluations on both sides).
+    autocovariance(r, w, N) == autocorrelation(r, w, N) - floor_partial(w, N)
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coefficients import omega_bound, omega_limit, omega_n_general
+import numpy as np
+
+from .coefficients import omega_bound, omega_limit, omega_n_over_grid
 from .errors import DomainError, finite_nonnegative, finite_positive
 
 #: relative tail-bound level above which a SeriesEvaluation is flagged
@@ -41,7 +43,7 @@ class OmegaRatio:
 
 @dataclass(frozen=True)
 class SeriesEvaluation:
-    """A partial sum together with its truncation diagnostics.
+    """A partial sum, or an array of them, with its truncation diagnostics.
 
     ``tail_bound`` is the magnitude-majorant estimate of everything beyond the
     truncation order; it is often astronomically loose near |r| = 1 (the
@@ -50,13 +52,11 @@ class SeriesEvaluation:
     """
 
     value: complex
-    truncation_order: int
-    last_term_magnitude: float
     tail_bound: float
 
     @property
-    def flagged(self) -> bool:
-        return not (self.tail_bound <= TAIL_FLAG_RELATIVE * abs(self.value))
+    def flagged(self):
+        return np.logical_not(self.tail_bound <= TAIL_FLAG_RELATIVE * np.abs(self.value))
 
 
 def asymptotic_floor(omega) -> float:
@@ -71,75 +71,75 @@ def asymptotic_floor(omega) -> float:
     return ((1.0 - math.exp(-w * w)) / w) ** 2
 
 
+def partial_sum(rows, orders, omega):
+    """sum_i rows[i] w^orders[i]/orders[i]!, lane by lane over the shape of one row."""
+    w = finite_nonnegative(omega, "omega")
+    wpow = np.array([w ** n / math.factorial(n) for n in orders])
+    return (wpow.reshape(-1, *[1] * (np.ndim(rows) - 1)) * rows).sum(axis=0)
+
+
 def floor_partial(omega, order: int) -> float:
     """Partial sum of the limit coefficients: sum_{n<=order} lim Omega_n w^n/n!."""
-    w = finite_nonnegative(omega, "omega")
     if order < 0:
         raise DomainError("order must be nonnegative")
-    total = 0.0
-    for n in range(0, order + 1, 2):
-        if n == 0:
-            continue  # limit of order zero vanishes
-        total += omega_limit(n) * w ** n / math.factorial(n)
-    return total
+    orders = range(0, order + 1, 2)
+    return float(partial_sum([omega_limit(n) for n in orders], orders, omega))
 
 
-def _tail_bound(abs_r: float, w: float, order: int) -> float:
+def tail_bound(abs_r, omega, order: int):
     """Geometric-type majorant of the dropped terms, from the magnitude bound.
 
     Term majorants t_n = bound(n,|r|) w^n/n! obey t_{n+2}/t_n =
     4 w^2 / ((n+1)(1-|r|)); the tail from order+2 is summed stepwise until the
-    ratio drops below 1/2 and geometrically after that.  Returns inf when the
-    majorant is still growing past the step budget.
+    ratio drops below 1/2 and geometrically after that.  Lanes of ``abs_r``
+    whose majorant is still growing past the step budget get inf.
     """
-    if w == 0.0:
-        return 0.0
-    n = order + 2
-    t = omega_bound(n, abs_r) * w ** n / math.factorial(n)
-    total = 0.0
-    for _ in range(400):
-        total += t
-        ratio = 4.0 * w * w / ((n + 1.0) * (1.0 - abs_r))
-        if ratio < 0.5:
-            return total + t * ratio / (1.0 - ratio)
-        t *= ratio
-        n += 2
-    return math.inf
-
-
-def autocorrelation(r: complex, omega, order: int = 20) -> SeriesEvaluation:
-    """Normalized autocorrelation partial sum: sum_{even n<=order} Omega_n w^n/n!."""
     w = finite_nonnegative(omega, "omega")
-    r = complex(r)
-    if not abs(r) < 1.0:
-        raise DomainError(f"series requires |r| < 1, got {abs(r)}")
+    abs_r = np.asarray(abs_r, dtype=float)
+    if w == 0.0:
+        return np.zeros(abs_r.shape)[()]
+    out = np.full(abs_r.shape, np.inf)  # inf marks a lane still being summed
+    n = order + 2
+    with np.errstate(all="ignore"):  # unfinished lanes may overflow; only finished ones are read
+        t = omega_bound(n, abs_r) * w ** n / math.factorial(n)
+        total = 0.0
+        for _ in range(400):
+            total = total + t
+            ratio = 4.0 * w * w / ((n + 1.0) * (1.0 - abs_r))
+            done = np.isinf(out) & (ratio < 0.5)
+            out[done] = (total + t * ratio / (1.0 - ratio))[done]
+            if not np.isinf(out).any():
+                break
+            t = t * ratio
+            n += 2
+    return out[()]
+
+
+def autocorrelation(r, omega, order: int = 20) -> SeriesEvaluation:
+    """Normalized autocorrelation partial sum sum_{even n<=order} Omega_n w^n/n!,
+    over one complex r or an array of them (the result has the shape of r)."""
+    w = finite_nonnegative(omega, "omega")
+    r = np.asarray(r, dtype=complex)
+    abs_r = np.abs(r)
+    if not np.all(abs_r < 1.0):
+        raise DomainError(f"series requires |r| < 1, got {abs_r[~(abs_r < 1.0)][0]}")
     if order % 2 == 1 or order < 0:
         raise DomainError("truncation order must be even and nonnegative")
-    total = 0.0 + 0.0j
-    last = 0.0
-    for n in range(0, order + 1, 2):
-        term = omega_n_general(n, r) * w ** n / math.factorial(n)
-        total += term
-        last = abs(term)
-    return SeriesEvaluation(value=total, truncation_order=order,
-                            last_term_magnitude=last,
-                            tail_bound=_tail_bound(abs(r), w, order))
+    orders = range(0, order + 1, 2)
+    rows = [omega_n_over_grid(n, r) for n in orders]
+    return SeriesEvaluation(value=partial_sum(rows, orders, w),
+                            tail_bound=tail_bound(abs_r, w, order))
 
 
-def autocovariance(r: complex, omega, order: int = 20) -> SeriesEvaluation:
-    """Normalized autocovariance partial sum (centered coefficients).
+def autocovariance(r, omega, order: int = 20) -> SeriesEvaluation:
+    """Normalized autocovariance partial sum, over one r or an array.
 
     Implemented literally as autocorrelation minus the partial floor, so
     ``autocovariance(...).value == autocorrelation(...).value - floor_partial(...)``
     holds bitwise.
     """
-    w = finite_nonnegative(omega, "omega")
     ac = autocorrelation(r, omega, order)
-    last = ((omega_n_general(order, complex(r)) - omega_limit(order))
-            * w ** order / math.factorial(order))
     return SeriesEvaluation(value=ac.value - floor_partial(omega, order),
-                            truncation_order=order,
-                            last_term_magnitude=abs(last),
                             tail_bound=ac.tail_bound)
 
 

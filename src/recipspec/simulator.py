@@ -23,8 +23,9 @@ from scipy.signal import lfilter, oaconvolve
 from .errors import (ConfigError, DomainError, StatisticalQualityError,
                      finite_nonnegative, finite_positive)
 from .kernels import CorrelationKernel, FlatBand, Lorentzian
+from .manifest import atomic_write_text, atomic_write_via, dump_json
 from .spectrum import (SpectrumResult, theoretical_spectrum, TauGrid, make_window,
-                       welch_covariance_spectrum, welch_expected_spectrum)
+                       welch_covariance_spectrum, welch_expected_spectrum, welch_layout)
 
 _CHUNK = 1 << 18
 
@@ -123,24 +124,21 @@ def dump_samples(samples: np.ndarray, path) -> None:
     """Write a raw stream as little-endian interleaved float64 (re, im) pairs.
 
     A JSON sidecar ``<path>.json`` records the layout so the file is
-    self-describing.
+    self-describing.  Both files are written atomically, creating the
+    directory if needed.
     """
-    import json
     samples = np.ascontiguousarray(samples, dtype=np.complex128)
     inter = np.empty(2 * len(samples), dtype="<f8")
     inter[0::2] = samples.real
     inter[1::2] = samples.imag
-    with open(path, "wb") as fh:
-        inter.tofile(fh)
+    atomic_write_via(path, inter.tofile)
     header = {
         "format": "interleaved-float64-le",
         "layout": ["re", "im"],
         "n_samples": int(len(samples)),
         "byte_order": "little",
     }
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    atomic_write_text(str(path) + ".json", dump_json(header))
 
 
 def load_samples(path) -> np.ndarray:
@@ -256,6 +254,7 @@ def run_experiment(config: SimulationConfig, order: Optional[int] = None,
     if order is None:
         order = 10 if isinstance(config.kernel, FlatBand) else 20
     make_window(window_kind, segment_len)  # a bad Welch setting fails before any sample
+    welch_layout(config.n_samples, segment_len, overlap_fraction)
     w_seq = generate_gaussian(config)
     if dump_path is not None:
         dump_samples(w_seq, dump_path)

@@ -23,7 +23,7 @@ from .coefficients import build_table
 from .errors import (ConsistencyError, DomainError, StatisticalQualityError, TruncationError,
                      finite_nonnegative, finite_positive)
 from .kernels import CorrelationKernel, FlatBand
-from .series import TAIL_FLAG_RELATIVE, _tail_bound, asymptotic_floor
+from .series import SeriesEvaluation, asymptotic_floor, partial_sum, tail_bound
 
 _FREQ_CHUNK = 256
 
@@ -126,15 +126,9 @@ def theoretical_spectrum(kernel: CorrelationKernel, omega, order: int,
     w = finite_nonnegative(omega, "omega")
     lags = grid.positive_lags()
     table = build_table(kernel, lags, order)
-    wpow = np.array([w ** n / math.factorial(n) for n in table.orders])
-    chat = (wpow[:, None] * table.centered).sum(axis=0)
-
-    mag = np.abs(kernel.eval(lags))
-    flagged = 0
-    for k in range(len(lags)):
-        tb = _tail_bound(float(mag[k]), w, order)
-        if not tb <= TAIL_FLAG_RELATIVE * abs(chat[k]):
-            flagged += 1
+    chat = partial_sum(table.centered, table.orders, w)
+    tb = tail_bound(np.abs(kernel.eval(lags)), w, order)
+    flagged = np.count_nonzero(SeriesEvaluation(chat, tb).flagged)
     if strict_tail and flagged:
         raise TruncationError(
             f"{flagged} of {len(lags)} lags carry a series tail flag at "
@@ -199,6 +193,24 @@ def window_lag_taper(win: np.ndarray) -> np.ndarray:
     return rho / rho[0]
 
 
+def welch_layout(n_samples: int, segment_len: int, overlap_fraction: float):
+    """Step and count of the Welch segments over n_samples, as (step, n_seg).
+
+    Raises DomainError for a segment longer than the record or an overlap
+    outside [0, 0.9], and StatisticalQualityError for fewer than 16 segments.
+    """
+    if segment_len > n_samples:
+        raise DomainError("segment_len exceeds the sample count")
+    if not 0.0 <= overlap_fraction <= 0.9:
+        raise DomainError("overlap_fraction must lie in [0, 0.9]")
+    step = max(1, int(round(segment_len * (1.0 - overlap_fraction))))
+    n_seg = (n_samples - segment_len) // step + 1
+    if n_seg < 16:
+        raise StatisticalQualityError(
+            f"only {n_seg} segments; need at least 16 for a usable average")
+    return step, n_seg
+
+
 def welch_covariance_spectrum(samples: np.ndarray, dt: float,
                               segment_len: int = 4096,
                               overlap_fraction: float = 0.5,
@@ -213,18 +225,10 @@ def welch_covariance_spectrum(samples: np.ndarray, dt: float,
     chi-squared bias); the default is the plain mean.
     """
     x = np.asarray(samples)
-    if segment_len > len(x):
-        raise DomainError("segment_len exceeds the sample count")
-    if not 0.0 <= overlap_fraction <= 0.9:
-        raise DomainError("overlap_fraction must lie in [0, 0.9]")
+    win = make_window(window_kind, segment_len)
+    step, n_seg = welch_layout(len(x), segment_len, overlap_fraction)
     mean = complex(x.mean())
     x = x - mean
-    win = make_window(window_kind, segment_len)
-    step = max(1, int(round(segment_len * (1.0 - overlap_fraction))))
-    n_seg = (len(x) - segment_len) // step + 1
-    if n_seg < 16:
-        raise StatisticalQualityError(
-            f"only {n_seg} segments; need at least 16 for a usable average")
     idx = np.arange(segment_len)
     starts = np.arange(n_seg) * step
     block = 512  # bounded memory; block boundaries do not affect the result
@@ -272,8 +276,7 @@ def welch_expected_spectrum(kernel: CorrelationKernel, omega, order: int,
     win = make_window(window_kind, segment_len)
     lags = np.arange(1, segment_len) * finite_positive(dt, "dt")
     table = build_table(kernel, lags, order)
-    wpow = np.array([w ** n / math.factorial(n) for n in table.orders])
-    chat = (wpow[:, None] * table.centered).sum(axis=0)
+    chat = partial_sum(table.centered, table.orders, w)
 
     rho = window_lag_taper(win)
     g = chat * rho[1:segment_len]

@@ -93,9 +93,10 @@ def check_odd_orders():
 def check_oracle_equivalence():
     """Series (order 20) vs quadrature < 1e-4 absolute; MC within 3 stderr."""
     worst = 0.0
-    for absr in (0.3, 0.6, 0.9):
-        for w in (0.0, 0.5, 1.0, 1.2):
-            s = series.autocorrelation(absr, w, order=20).value
+    absrs = (0.3, 0.6, 0.9)
+    for w in (0.0, 0.5, 1.0, 1.2):
+        values = series.autocorrelation(np.array(absrs), w, order=20).value
+        for absr, s in zip(absrs, values):
             q = oracle.rss_quadrature(absr, w, TIGHT_QUAD).value
             worst = max(worst, abs(s - q))
     mc_ok = True
@@ -130,12 +131,10 @@ def check_limit_identity():
 def check_bounds():
     """|Omega_n| under the magnitude bound; absolute integral under its majorant."""
     ok = True
-    absrs = [x / 10 for x in range(1, 10)]
+    absrs = np.array([x / 10 for x in range(1, 10)])
     for n in range(2, 21, 2):
-        values = np.abs(coefficients.omega_n_over_grid(n, np.array(absrs)))
-        for v, absr in zip(values, absrs):
-            if v >= coefficients.omega_bound(n, absr):
-                ok = False
+        ok = ok and bool(np.all(np.abs(coefficients.omega_n_over_grid(n, absrs))
+                                < coefficients.omega_bound(n, absrs)))
     margins = {}
     for absr in (0.3, 0.9, 0.99):
         lhs, rhs = oracle.abs_convergence_check(absr)

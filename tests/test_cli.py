@@ -124,13 +124,27 @@ class TestSimulate:
 
     @pytest.mark.parametrize("flag, value", [
         ("--segment-len", "0"), ("--segment-len", "1"), ("--segment-len", "-4"),
-        ("--window", "kaiserabc"), ("--window", "kaisernan")])
+        ("--window", "kaiserabc"), ("--window", "kaisernan"),
+        ("--segment-len", "16384"), ("--segment-len", "131072"), ("--overlap", "0.95")])
     def test_bad_welch_setting_exits_2_before_sampling(self, tmp_path, capsys, flag, value):
         rc = run(tmp_path, "simulate", "--kernel", "lorentzian", "--samples", str(1 << 16),
                  "--dump-samples", "samples.bin", flag, value)
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not list(tmp_path.iterdir())  # neither the sample dump nor a CSV
+
+
+    def test_dump_samples_into_a_new_directory(self, tmp_path):
+        import numpy as np
+        from recipspec.kernels import Lorentzian
+        from recipspec.simulator import SimulationConfig, generate_gaussian, load_samples
+        out = tmp_path / "new" / "nested"
+        assert run(out, *self.ARGS, "--dump-samples", "w.bin") == 0
+        config = SimulationConfig(kernel=Lorentzian(a=1.0), omega=0.6, dt=0.1,
+                                  n_samples=1 << 17, seed=9)
+        assert np.array_equal(load_samples(out / "w.bin"), generate_gaussian(config))
+        listed = [o["path"] for o in json.loads((out / "manifest.json").read_text())["outputs"]]
+        assert str(out / "w.bin") in listed and str(out / "w.bin.json") in listed
 
 
 class TestBounds:
@@ -181,6 +195,25 @@ class TestConfigFile:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["parameters"]["a"] == 2.0          # from config
         assert manifest["parameters"]["max_order"] == 2    # flag wins
+
+    def test_boolean_false_stays_false(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("robust=false\n")
+        out = tmp_path / "out"
+        assert run(out, *TestSimulate.ARGS, "--config", str(cfg)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["parameters"]["robust"] is False
+
+    @pytest.mark.parametrize("command, line", [
+        ("spectrum", "omgea=3"), ("coeffs", "omega=1.0"), ("validate", "kernel=gaussian"),
+        ("simulate", "robust=yes"), ("simulate", "robust=False"), ("coeffs", "a=abc")])
+    def test_bad_config_exits_2_before_writing(self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        assert run(out, command, "--config", str(cfg)) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
 
 def test_tabulated_kernel_via_cli(tmp_path):

@@ -10,6 +10,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recipspec.coefficients import (SMALL_R_THRESHOLD, _taylor, build_table,
                                     omega0_closed, omega2_closed, omega_bound,
@@ -118,6 +119,19 @@ class TestBound:
         for n in range(2, 21, 2):
             for r in [x / 10 for x in range(1, 10)]:
                 assert abs(omega_n_general(n, r)) < omega_bound(n, r)
+
+    @given(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=8),
+           st.sampled_from(range(2, 41, 2)))
+    @settings(max_examples=60, deadline=None)
+    def test_array_equals_per_element_calls(self, abs_r, n):
+        got = omega_bound(n, np.array(abs_r))
+        assert got.shape == (len(abs_r),)
+        assert got.tolist() == [omega_bound(n, a) for a in abs_r]
+
+    @pytest.mark.parametrize("bad", [1.0, -0.1, math.nan, math.inf])
+    def test_one_bad_lane_raises(self, bad):
+        with pytest.raises(DomainError):
+            omega_bound(4, np.array([0.2, bad, 0.5]))
 
 
 class TestSmallRPath:

@@ -1,13 +1,41 @@
 """Series assembly: truncation behavior, floor identities, scaling."""
 
+import cmath
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from recipspec.coefficients import omega_n_general
+from recipspec.coefficients import omega_bound, omega_n_general
 from recipspec.errors import DomainError
 from recipspec.series import (OmegaRatio, asymptotic_floor, autocorrelation,
-                              autocovariance, denormalize, floor_partial)
+                              autocovariance, denormalize, floor_partial, tail_bound)
+
+#: real and complex r with |r| < 0.95, a few lanes at a time
+_R = st.one_of(st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True).map(complex),
+               st.builds(cmath.rect, st.floats(0.0, 0.95, exclude_max=True),
+                         st.floats(-math.pi, math.pi)))
+R_ARRAYS = st.lists(_R, min_size=1, max_size=5).map(np.array)
+OMEGAS = st.floats(0.0, 1.2)
+ORDERS = st.sampled_from((0, 2, 10, 20))
+
+
+def _scalar_tail_bound(abs_r: float, w: float, order: int) -> float:
+    """Reference: the tail majorant's loop run for one |r| in Python floats."""
+    if w == 0.0:
+        return 0.0
+    n = order + 2
+    t = float(omega_bound(n, abs_r)) * w ** n / math.factorial(n)
+    total = 0.0
+    for _ in range(400):
+        total += t
+        ratio = 4.0 * w * w / ((n + 1.0) * (1.0 - abs_r))
+        if ratio < 0.5:
+            return total + t * ratio / (1.0 - ratio)
+        t *= ratio
+        n += 2
+    return math.inf
 
 
 class TestOmegaRatio:
@@ -123,6 +151,49 @@ class TestAutocovariance:
         cor = autocorrelation(r, 0.8, 20).value
         assert cov == cor - floor_partial(0.8, 20)
         assert abs(cov.imag) > 0
+
+
+class TestArrays:
+    @given(R_ARRAYS, OMEGAS, ORDERS)
+    @settings(max_examples=30, deadline=None)
+    def test_autocovariance_is_autocorrelation_minus_floor(self, r, w, order):
+        cov = autocovariance(r, w, order).value
+        cor = autocorrelation(r, w, order).value
+        assert np.array_equal(cov, cor - floor_partial(w, order))
+
+    @given(R_ARRAYS, OMEGAS, ORDERS)
+    @settings(max_examples=20, deadline=None)
+    def test_lanes_match_one_element_calls(self, r, w, order):
+        ev = autocorrelation(r, w, order)
+        assert ev.value.shape == ev.tail_bound.shape == r.shape
+        for k, x in enumerate(r):
+            one = autocorrelation(x, w, order)
+            assert np.ndim(one.value) == 0 and np.ndim(one.tail_bound) == 0
+            assert abs(ev.value[k] - one.value) <= 1e-8 * abs(one.value)
+            assert ev.tail_bound[k] == one.tail_bound
+            assert ev.flagged[k] == one.flagged
+
+    @given(st.lists(st.floats(0.0, 0.999), min_size=1, max_size=6),
+           st.floats(0.0, 5.0), st.sampled_from(range(0, 21, 2)))
+    @settings(max_examples=80, deadline=None)
+    def test_tail_bound_matches_the_scalar_loop(self, abs_r, w, order):
+        got = tail_bound(np.array(abs_r), w, order)
+        want = np.array([_scalar_tail_bound(a, w, order) for a in abs_r])
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        fin = np.isfinite(want)
+        assert np.all(np.abs(got[fin] - want[fin]) <= 1e-15 * want[fin])
+
+    def test_tail_bound_reaches_inf(self):
+        assert tail_bound(np.array([0.2, 0.999]), 5.0, 20)[1] == math.inf
+
+    def test_shapes_and_domain(self):
+        assert autocorrelation(np.array([]), 0.5).value.shape == (0,)
+        assert autocovariance(np.array([]), 0.5).tail_bound.shape == (0,)
+        grid = np.array([[0.1, 0.2j], [-0.3, 0.4 + 0.1j]])
+        assert autocorrelation(grid, 0.5, 10).flagged.shape == (2, 2)
+        for bad in (1.0, -1.2, math.nan, complex(math.inf, 0.0)):
+            with pytest.raises(DomainError):
+                autocorrelation(np.array([0.1, bad]), 0.5)
 
 
 class TestDenormalize:

@@ -17,7 +17,7 @@ from .kernels import (CorrelationKernel, Decomposition, DopplerLorentzian,
 from .series import (OmegaRatio, SeriesEvaluation, asymptotic_floor,
                      autocorrelation, autocovariance, denormalize,
                      floor_partial)
-from .specfun import (EvalAccuracy, MathConstants, gauss_2f1_regularized,
+from .specfun import (MathConstants, gauss_2f1_regularized,
                       hyp3f2_zero_balanced, math_constants, struve_l0)
 from .spectrum import (SpectrumResult, TauGrid, tail_slope,
                        theoretical_spectrum, welch_covariance_spectrum,
@@ -32,7 +32,7 @@ __all__ = [
     "load_tabulated_csv", "make_kernel",
     "OmegaRatio", "SeriesEvaluation", "asymptotic_floor", "autocorrelation",
     "autocovariance", "denormalize", "floor_partial",
-    "EvalAccuracy", "MathConstants", "gauss_2f1_regularized",
+    "MathConstants", "gauss_2f1_regularized",
     "hyp3f2_zero_balanced", "math_constants", "struve_l0",
     "SpectrumResult", "TauGrid", "tail_slope", "theoretical_spectrum",
     "welch_covariance_spectrum", "welch_expected_spectrum",

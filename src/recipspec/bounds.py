@@ -20,25 +20,20 @@ import numpy as np
 from .errors import DomainError, finite_positive
 from .kernels import (CorrelationKernel, DopplerLorentzian, FlatBand,
                       GaussianKernel, Lorentzian)
-from .specfun import EvalAccuracy, hyp3f2_zero_balanced, math_constants
+from .specfun import hyp3f2_zero_balanced, math_constants
 
 #: the integrand is fitted to c1 + c2*ln(tau) on [SPLIT, 10*SPLIT] and that
 #: local model is integrated analytically over [0, SPLIT]
 LOG_SPLIT = 1e-3
 
-#: near tau -> 0 the zero-balanced series needs ~1/(1-z) terms; the Gaussian
-#: kernel reaches z = 1 - O(tau^2), so the budget is far above the default
-_INTEGRAND_ACCURACY = EvalAccuracy(rel_tol=1e-12, max_terms=10 ** 8)
 
-
-def l1_integrand(abs_r: float,
-                 acc: EvalAccuracy = _INTEGRAND_ACCURACY) -> float:
+def l1_integrand(abs_r: float) -> float:
     """(4/pi) |r| 3F2(1,1,1;3/2,3/2;|r|^2): the pointwise L1 majorant."""
     if not 0.0 <= abs_r < 1.0:
         raise DomainError(f"l1_integrand requires |r| < 1, got {abs_r}")
     if abs_r == 0.0:
         return 0.0
-    return (4.0 / math.pi) * abs_r * hyp3f2_zero_balanced(abs_r * abs_r, acc)
+    return (4.0 / math.pi) * abs_r * hyp3f2_zero_balanced(abs_r * abs_r)
 
 
 def _gauss_legendre_panel(f, a: float, b: float, n: int = 200) -> float:

@@ -2,7 +2,7 @@
 
 Subcommands: coeffs, spectrum, simulate, bounds, validate.  Every run writes a
 manifest listing resolved parameters and the SHA-256 of each emitted file.
-Exit codes: 0 ok, 1 validation failure, 2 usage/domain error, 3 accuracy flag.
+Exit codes: 0 ok, 1 validation failure, 2 usage/domain error, 3 accuracy error.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from . import __version__
 from .bounds import integrability_report
 from .coefficients import build_table
 from .errors import (AccuracyError, ConfigError, ConsistencyError, DomainError,
-                     StatisticalQualityError, TruncationError, finite_nonnegative,
-                     finite_positive)
+                     StatisticalQualityError, finite_nonnegative, finite_positive)
 from .kernels import make_kernel
 from .manifest import RunManifest, atomic_write_text, atomic_write_via, dump_json
 from .simulator import SimulationConfig, run_experiment
@@ -76,7 +75,6 @@ def _resolve(args: argparse.Namespace, converters: dict) -> dict:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="RNG seed")
     p.add_argument("--out-dir", default=None, help="output directory")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--config", default=None, help="KEY=VALUE defaults file")
 
 
@@ -179,7 +177,7 @@ def cmd_simulate(args) -> int:
         "segment_len": (int, 4096), "overlap": (float, 0.5),
         "window": (str, "hann"), "robust": (_config_bool, False),
         "threads": (int, 1), "dump_samples": (str, None),
-        "out_dir": (str, "."), "format": (str, "csv"), "seed": (int, 12345),
+        "out_dir": (str, "."), "seed": (int, 12345),
     })
     resolved = _resolve(args, conv)
     if resolved["threads"] < 1:
@@ -224,8 +222,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_bounds(args) -> int:
     conv = dict(_KERNEL_CONV)
-    conv.update({"out_dir": (str, "."), "format": (str, "csv"),
-                 "seed": (int, None)})
+    conv.update({"out_dir": (str, "."), "seed": (int, None)})
     resolved = _resolve(args, conv)
     kernel = _kernel_from(resolved)
     report = integrability_report(kernel)
@@ -241,8 +238,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_validate(args) -> int:
     from .validation import run_checks
-    conv = {"profile": (str, "quick"), "out_dir": (str, "."),
-            "format": (str, "csv"), "seed": (int, None)}
+    conv = {"profile": (str, "quick"), "out_dir": (str, "."), "seed": (int, None)}
     resolved = _resolve(args, conv)
     verdict = run_checks(resolved["profile"])
     path = _out(resolved, "validation.json")
@@ -271,6 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="coefficient table over a lag grid")
     _add_common(p)
+    p.add_argument("--format", choices=("csv", "json"), default=None)
     _add_kernel_opts(p)
     p.add_argument("--tau-start", type=float, default=None)
     p.add_argument("--tau-stop", type=float, default=None)
@@ -280,6 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="theoretical covariance spectrum")
     _add_common(p)
+    p.add_argument("--format", choices=("csv", "json"), default=None)
     _add_kernel_opts(p)
     p.add_argument("--omega", default=None, help="value or comma list")
     p.add_argument("--order", type=int, default=None)
@@ -326,7 +324,7 @@ def main(argv=None) -> int:
     except (DomainError, ConfigError, StatisticalQualityError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (AccuracyError, TruncationError, ConsistencyError) as exc:
+    except (AccuracyError, ConsistencyError) as exc:
         print(f"accuracy: {exc}", file=sys.stderr)
         return EXIT_ACCURACY
 

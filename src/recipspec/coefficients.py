@@ -32,7 +32,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -232,15 +232,13 @@ class CoefficientTable:
     """Omega_n and centered Omega'_n over a lag grid.
 
     values[i, k] holds order ``orders[i]`` at lag ``lags[k]``; ``centered`` is
-    values minus the per-order limit; ``limit_values`` are those limits.
+    values minus the per-order limit.
     """
 
     orders: list
     lags: np.ndarray
     values: np.ndarray
     centered: np.ndarray
-    limit_values: np.ndarray
-    kernel_info: dict = field(default_factory=dict)
 
     #: column names of :meth:`rows`
     COLUMNS = ("tau", "n", "re_omega", "im_omega", "re_omega_prime", "im_omega_prime")
@@ -288,8 +286,7 @@ def build_table(kernel: CorrelationKernel, lags, max_order: int) -> CoefficientT
     centered = values - limits[:, None]
     _check_bounds(orders, np.abs(r), values)
     return CoefficientTable(orders=orders, lags=lags, values=values,
-                            centered=centered, limit_values=limits,
-                            kernel_info=kernel.describe())
+                            centered=centered)
 
 
 def _check_bounds(orders, mag, values) -> None:

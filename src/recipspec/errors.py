@@ -52,10 +52,6 @@ class AccuracyError(RuntimeError):
         self.tail_estimate = tail_estimate
 
 
-class TruncationError(RuntimeError):
-    """A series truncation flag was raised where a clean value was required."""
-
-
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed (e.g. a Hermitian transform residue)."""
 

@@ -24,7 +24,6 @@ class CorrelationKernel:
     """Base class; subclasses implement ``eval`` and expose ``params``."""
 
     name = "base"
-    is_complex = False
 
     def eval(self, tau: ArrayLike):
         raise NotImplementedError
@@ -101,7 +100,6 @@ class DopplerLorentzian(CorrelationKernel):
     a: float = 1.0
     beta: float = 0.0
     name = "doppler_lorentzian"
-    is_complex = True
 
     def __post_init__(self):
         finite_positive(self.a, "DopplerLorentzian decay rate")
@@ -124,7 +122,6 @@ class Tabulated(CorrelationKernel):
     """
 
     name = "tabulated"
-    is_complex = True
 
     def __init__(self, lags, values):
         lags = np.asarray(lags, dtype=float)

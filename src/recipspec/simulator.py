@@ -28,6 +28,16 @@ from .spectrum import (SpectrumResult, theoretical_spectrum, TauGrid, make_windo
                        welch_covariance_spectrum, welch_expected_spectrum, welch_layout)
 
 _CHUNK = 1 << 18
+#: Kaiser beta of the flat-band FIR window
+FIR_KAISER_BETA = 8.0
+#: the fidelity gate compares the ACF at lags 1..GATE_LAGS with the kernel and
+#: fails beyond GATE_SIGMAS estimator standard deviations
+GATE_LAGS = 20
+GATE_SIGMAS = 3.0
+#: kernel lags summed into the Bartlett estimate of the ACF noise
+ACF_SIGMA_LAGS = 200
+#: Welch metrics score the bins within this many dB of the reference peak
+BAND_DROP_DB = 40.0
 
 
 @dataclass(frozen=True)
@@ -86,7 +96,7 @@ def _generate_ar1(config: SimulationConfig) -> np.ndarray:
     return out
 
 
-def design_flat_fir(taps: int, dt: float, beta: float = 8.0) -> np.ndarray:
+def design_flat_fir(taps: int, dt: float) -> np.ndarray:
     """Kaiser-windowed sinc lowpass with cutoff at the flat-band edge.
 
     The band edge sits at absolute frequency 1/(2 pi), i.e. dt/(2 pi) cycles
@@ -95,7 +105,7 @@ def design_flat_fir(taps: int, dt: float, beta: float = 8.0) -> np.ndarray:
     nu_c = dt / (2.0 * math.pi)
     n = np.arange(taps) - (taps - 1) / 2.0
     h = 2.0 * nu_c * np.sinc(2.0 * nu_c * n)
-    return h * np.kaiser(taps, beta)
+    return h * np.kaiser(taps, FIR_KAISER_BETA)
 
 
 def _generate_flat(config: SimulationConfig) -> np.ndarray:
@@ -171,45 +181,40 @@ def invert(samples: np.ndarray, omega, r_ww0: float = 1.0):
 def empirical_acf(samples: np.ndarray, max_lag: int) -> np.ndarray:
     """Biased (1/n) empirical autocorrelation after mean removal, lags 0..max_lag.
 
-    Convention: acf[m] = (1/n) sum_k x[k+m] conj(x[k]), computed with one FFT.
+    Convention: acf[m] = (1/n) sum_k x[k+m] conj(x[k]), one dot product per lag.
     """
     x = np.asarray(samples)
     n = len(x)
     if max_lag >= n // 10:
         raise DomainError("max_lag must be below n_samples/10")
     x = x - x.mean()
-    nfft = 1 << int(math.ceil(math.log2(n + max_lag + 1)))
-    f = np.fft.fft(x, nfft)
-    corr = np.fft.ifft(f * np.conj(f))[:max_lag + 1]
-    return corr / n
+    return np.array([np.vdot(x[:n - m], x[m:]) for m in range(max_lag + 1)]) / n
 
 
-def acf_sigma(kernel: CorrelationKernel, dt: float, n_samples: int,
-              probe_lags: int = 200) -> float:
+def acf_sigma(kernel: CorrelationKernel, dt: float, n_samples: int) -> float:
     """Bartlett-style scale of the ACF estimator noise for a unit-power process."""
-    m = np.arange(1, probe_lags + 1)
+    m = np.arange(1, ACF_SIGMA_LAGS + 1)
     r = np.abs(np.asarray(kernel.eval(m * dt), dtype=complex))
     return math.sqrt((1.0 + 2.0 * float(np.sum(r ** 2))) / n_samples)
 
 
-def generator_fidelity_check(config: SimulationConfig, w: np.ndarray,
-                             n_lags: int = 20, n_sigma: float = 3.0) -> dict:
+def generator_fidelity_check(config: SimulationConfig, w: np.ndarray) -> dict:
     """Gate: empirical ACF must match the kernel at the first lags within 3 sigma.
 
-    Raises StatisticalQualityError when any probed lag deviates by more than
-    ``n_sigma`` estimator standard deviations.
+    Raises StatisticalQualityError when any of lags 1..GATE_LAGS deviates by
+    more than GATE_SIGMAS estimator standard deviations.
     """
-    acf = empirical_acf(w, n_lags)
-    target = np.asarray(config.kernel.eval(np.arange(n_lags + 1) * config.dt),
+    acf = empirical_acf(w, GATE_LAGS)
+    target = np.asarray(config.kernel.eval(np.arange(GATE_LAGS + 1) * config.dt),
                         dtype=complex)
     sigma = acf_sigma(config.kernel, config.dt, config.n_samples)
     dev = np.abs(acf - target) / sigma
     worst = float(dev[1:].max())  # lag 0 is pinned by normalization
-    if worst > n_sigma:
+    if worst > GATE_SIGMAS:
         raise StatisticalQualityError(
             f"generator ACF deviates {worst:.2f} sigma from the kernel "
-            f"(gate {n_sigma} sigma)")
-    return {"worst_sigma": worst, "sigma": sigma, "n_lags": n_lags}
+            f"(gate {GATE_SIGMAS} sigma)")
+    return {"worst_sigma": worst, "sigma": sigma, "n_lags": GATE_LAGS}
 
 
 @dataclass
@@ -222,10 +227,9 @@ class ExperimentResult:
     diagnostics: InversionDiagnostics
 
 
-def _band_metrics(empirical: np.ndarray, reference: np.ndarray,
-                  drop_db: float = 40.0) -> dict:
+def _band_metrics(empirical: np.ndarray, reference: np.ndarray) -> dict:
     peak = float(np.max(reference))
-    band = reference >= peak * 10.0 ** (-drop_db / 10.0)
+    band = reference >= peak * 10.0 ** (-BAND_DROP_DB / 10.0)
     ratio = np.maximum(empirical[band], 1e-300) / np.maximum(reference[band], 1e-300)
     dev = np.abs(10.0 * np.log10(ratio))
     return {

@@ -24,24 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, ConfigError, DomainError
+from .errors import AccuracyError, DomainError
 
 
-@dataclass(frozen=True)
-class EvalAccuracy:
-    """Accuracy budget for series evaluation."""
-
-    rel_tol: float = 1e-12
-    max_terms: int = 10 ** 6
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ConfigError("rel_tol must be positive")
-        if self.max_terms < 1:
-            raise ConfigError("max_terms must be >= 1")
-
-
-DEFAULT_ACCURACY = EvalAccuracy()
+#: accuracy budget of the 2F1 and L0 series: relative tail tolerance and
+#: term count, read at each call (tests lower MAX_TERMS to reach AccuracyError)
+REL_TOL = 1e-12
+MAX_TERMS = 10 ** 6
+#: term budget of the 3F2 series.  Near z -> 1 it needs ~1/(1-z) terms; the
+#: Gaussian kernel's L1 majorant reaches z = 1 - O(tau^2), so the budget is
+#: far above MAX_TERMS
+HYP3F2_MAX_TERMS = 10 ** 8
 
 #: terms per block of the grid 2F1 series: the first block, and the cap on
 #: the doubling after it.  Each block costs a fixed number of numpy calls, and
@@ -72,18 +65,16 @@ def _int_gamma(c: int) -> float:
     return float(math.factorial(c - 1))
 
 
-def gauss_2f1_regularized(a: int, b: int, c: int, z: float,
-                          acc: EvalAccuracy = DEFAULT_ACCURACY) -> float:
+def gauss_2f1_regularized(a: int, b: int, c: int, z: float) -> float:
     """Regularized Gauss hypergeometric function 2F1(a,b;c;z)/Gamma(c) at one z.
 
     The one-lane case of :func:`gauss_2f1_regularized_grid`, which holds the
     series, its domain checks and its AccuracyError.
     """
-    return float(gauss_2f1_regularized_grid(a, b, c, z, acc))
+    return float(gauss_2f1_regularized_grid(a, b, c, z))
 
 
-def gauss_2f1_regularized_grid(a: int, b: int, c: int, z: np.ndarray,
-                               acc: EvalAccuracy = DEFAULT_ACCURACY) -> np.ndarray:
+def gauss_2f1_regularized_grid(a: int, b: int, c: int, z: np.ndarray) -> np.ndarray:
     """Regularized 2F1(a,b;c;z)/Gamma(c) over an array of z values, of any shape.
 
     Series: sum_m (a)_m (b)_m z^m / (m! Gamma(c+m)).  For b <= 0 it
@@ -93,7 +84,7 @@ def gauss_2f1_regularized_grid(a: int, b: int, c: int, z: np.ndarray,
     construction of the callers.
 
     The result of the non-terminating series equals that recurrence run on
-    every lane until the tail test |t| q/(1-q) <= rel_tol |s|, with
+    every lane until the tail test |t| q/(1-q) <= REL_TOL |s|, with
     q = max(|ratio| zmax, zmax) over the whole grid and applied past
     m_safe = 2(|a|+|b|+|c|)+8 terms, holds on all lanes at once.  A lane's
     value therefore depends on the other lanes of its call through zmax and
@@ -115,10 +106,10 @@ def gauss_2f1_regularized_grid(a: int, b: int, c: int, z: np.ndarray,
     passes: once q < 1 no later term exceeds the last one, and rounding is
     monotone, so no later term can change the sum, and the recurrence would
     have returned the same value.  Without that precondition each lane still
-    stops only when its own tail bound clears rel_tol.
+    stops only when its own tail bound clears REL_TOL.
 
     Raises DomainError outside z in [0,1) and AccuracyError, carrying the
-    partial sums of every lane (retired ones included) after ``max_terms``
+    partial sums of every lane (retired ones included) after ``MAX_TERMS``
     terms and a tail estimate, if the budget is exhausted.
     """
     z = np.asarray(z, dtype=float)
@@ -152,8 +143,8 @@ def gauss_2f1_regularized_grid(a: int, b: int, c: int, z: np.ndarray,
     lane = np.arange(done.size)
     zl, tl, sl = z.reshape(-1), t.reshape(-1), done.copy()
     block = _GRID_BLOCK_FIRST
-    while m - m0 < acc.max_terms:
-        k = min(block, acc.max_terms - (m - m0))
+    while m - m0 < MAX_TERMS:
+        k = min(block, MAX_TERMS - (m - m0))
         block = min(2 * block, _GRID_BLOCK_MAX)
         # integer-valued floats, so products and ratios round as in the term-by-term recurrence
         ms = np.arange(m, m + k, dtype=float)
@@ -170,7 +161,7 @@ def gauss_2f1_regularized_grid(a: int, b: int, c: int, z: np.ndarray,
         m += k
         if tested.any():
             q = np.where(tested, q, 0.0)  # no division by 1 - q <= 0 on untested columns
-            ok = np.abs(terms) * q / (1.0 - q) <= acc.rel_tol * np.abs(sums) + 1e-300
+            ok = np.abs(terms) * q / (1.0 - q) <= REL_TOL * np.abs(sums) + 1e-300
             ok &= tested
             hit = np.flatnonzero(ok.all(axis=0))
             if hit.size:
@@ -185,11 +176,11 @@ def gauss_2f1_regularized_grid(a: int, b: int, c: int, z: np.ndarray,
         tl, sl = terms[:, -1], sums[:, -1]
     done[lane] = sl
     raise AccuracyError(
-        f"2F1reg grid ({a},{b};{c}) did not converge in {acc.max_terms} terms",
+        f"2F1reg grid ({a},{b};{c}) did not converge in {MAX_TERMS} terms",
         partial_value=s, tail_estimate=float(np.max(np.abs(tl))) * zmax / max(1 - zmax, 1e-300))
 
 
-def hyp3f2_zero_balanced(z: float, acc: EvalAccuracy = DEFAULT_ACCURACY) -> float:
+def hyp3f2_zero_balanced(z: float) -> float:
     """3F2(1,1,1; 3/2,3/2; z) = sum_k (k!)^2 z^k / ((3/2)_k)^2 for z in [0,1).
 
     The series is zero-balanced: it diverges logarithmically as z -> 1, so the
@@ -204,21 +195,21 @@ def hyp3f2_zero_balanced(z: float, acc: EvalAccuracy = DEFAULT_ACCURACY) -> floa
     t = 1.0
     k = 0
     chunk = 1 << 16
-    while k < acc.max_terms:
-        n = min(chunk, acc.max_terms - k)
+    while k < HYP3F2_MAX_TERMS:
+        n = min(chunk, HYP3F2_MAX_TERMS - k)
         idx = np.arange(k, k + n, dtype=float)
         terms = t * np.cumprod(((idx + 1.0) / (idx + 1.5)) ** 2 * z)
         s += float(np.sum(terms))
         t = float(terms[-1])
         k += n
-        if t * geo <= acc.rel_tol * s:
+        if t * geo <= REL_TOL * s:
             return s
     raise AccuracyError(
-        f"hyp3f2_zero_balanced({z}) did not converge in {acc.max_terms} terms",
+        f"hyp3f2_zero_balanced({z}) did not converge in {HYP3F2_MAX_TERMS} terms",
         partial_value=s, tail_estimate=t * geo)
 
 
-def struve_l0(x: float, acc: EvalAccuracy = DEFAULT_ACCURACY) -> float:
+def struve_l0(x: float) -> float:
     """Modified Struve function L0(x) = sum_k (x/2)^(2k+1) / Gamma(k+3/2)^2, x >= 0.
 
     All terms are positive; L0 is zero at the origin (odd series), increasing,
@@ -231,13 +222,13 @@ def struve_l0(x: float, acc: EvalAccuracy = DEFAULT_ACCURACY) -> float:
     t = (x / 2.0) * 4.0 / math.pi  # (x/2) / Gamma(3/2)^2
     s = t
     k = 0
-    while k < acc.max_terms:
+    while k < MAX_TERMS:
         ratio = (x / 2.0) ** 2 / (k + 1.5) ** 2
         t *= ratio
         s += t
         k += 1
-        if ratio < 1.0 and t * ratio / (1.0 - ratio) <= acc.rel_tol * s:
+        if ratio < 1.0 and t * ratio / (1.0 - ratio) <= REL_TOL * s:
             return s
     raise AccuracyError(
-        f"struve_l0({x}) did not converge in {acc.max_terms} terms",
+        f"struve_l0({x}) did not converge in {MAX_TERMS} terms",
         partial_value=s, tail_estimate=t)

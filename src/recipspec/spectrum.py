@@ -20,35 +20,33 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import build_table
-from .errors import (ConsistencyError, DomainError, StatisticalQualityError, TruncationError,
+from .errors import (ConsistencyError, DomainError, StatisticalQualityError,
                      finite_nonnegative, finite_positive)
 from .kernels import CorrelationKernel, FlatBand
 from .series import SeriesEvaluation, asymptotic_floor, partial_sum, tail_bound
 
 _FREQ_CHUNK = 256
+#: share of the outermost flat-band lags under the raised-cosine taper
+_TAPER_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
 class TauGrid:
-    """Uniform one-sided lag grid tau_k = (k + offset) * dtau, k = 0..half_points-1.
+    """Midpoint one-sided lag grid tau_k = (k + 1/2) * dtau, k = 0..half_points-1.
 
-    offset = 0.5 is the midpoint grid (default, origin excluded by half a
-    step); offset = 1.0 gives integer lags starting at dtau.
+    The origin, where the autocovariance diverges, is excluded by half a step.
     """
 
     dtau: float
     half_points: int
-    offset: float = 0.5
 
     def __post_init__(self):
         finite_positive(self.dtau, "dtau")
         if self.half_points < 16:
             raise DomainError("need at least 16 lag points")
-        if not 0.0 < self.offset <= 1.0:
-            raise DomainError("offset must lie in (0, 1]")
 
     def positive_lags(self) -> np.ndarray:
-        return (np.arange(self.half_points) + self.offset) * self.dtau
+        return (np.arange(self.half_points) + 0.5) * self.dtau
 
     def default_frequencies(self) -> np.ndarray:
         m = self.half_points
@@ -98,9 +96,9 @@ def _hermitian_transform(lags: np.ndarray, values: np.ndarray,
     return out, worst_imag
 
 
-def _raised_cosine_taper(n: int, fraction: float = 0.1) -> np.ndarray:
+def _raised_cosine_taper(n: int) -> np.ndarray:
     taper = np.ones(n)
-    k0 = int(math.floor((1.0 - fraction) * n))
+    k0 = int(math.floor((1.0 - _TAPER_FRACTION) * n))
     if k0 < n - 1:
         x = np.arange(k0, n) - k0
         taper[k0:] = 0.5 * (1.0 + np.cos(np.pi * x / (n - 1 - k0)))
@@ -108,16 +106,14 @@ def _raised_cosine_taper(n: int, fraction: float = 0.1) -> np.ndarray:
 
 
 def theoretical_spectrum(kernel: CorrelationKernel, omega, order: int,
-                         grid: TauGrid, freqs: np.ndarray | None = None,
-                         strict_tail: bool = False) -> SpectrumResult:
+                         grid: TauGrid, freqs: np.ndarray | None = None) -> SpectrumResult:
     """Transform the autocovariance series into a covariance power spectrum.
 
     The series is evaluated once per lag through a coefficient table.  Lags
-    whose tail bound exceeds the flag level are counted in the metadata; with
-    ``strict_tail`` they raise TruncationError instead.  (Near tau -> 0 the
-    magnitude-majorant tail bound is enormously pessimistic, so flags there
-    are expected; the spectra remain accurate because the dropped orders are
-    suppressed by n!.)
+    whose tail bound exceeds the flag level are counted in the metadata.
+    (Near tau -> 0 the magnitude-majorant tail bound is enormously
+    pessimistic, so flags there are expected; the spectra remain accurate
+    because the dropped orders are suppressed by n!.)
 
     For the flat-band kernel the outer 10% of lags get a raised-cosine taper
     before transforming; the sinc covariance decays only like 1/tau and plain
@@ -129,10 +125,6 @@ def theoretical_spectrum(kernel: CorrelationKernel, omega, order: int,
     chat = partial_sum(table.centered, table.orders, w)
     tb = tail_bound(np.abs(kernel.eval(lags)), w, order)
     flagged = np.count_nonzero(SeriesEvaluation(chat, tb).flagged)
-    if strict_tail and flagged:
-        raise TruncationError(
-            f"{flagged} of {len(lags)} lags carry a series tail flag at "
-            f"order {order}")
 
     tapered = False
     if isinstance(kernel, FlatBand):
@@ -156,7 +148,6 @@ def theoretical_spectrum(kernel: CorrelationKernel, omega, order: int,
         "order": order,
         "dtau": grid.dtau,
         "half_points": grid.half_points,
-        "offset": grid.offset,
         "flagged_lags": flagged,
         "taper": "raised-cosine outer 10%" if tapered else "none",
     }
@@ -232,18 +223,17 @@ def welch_covariance_spectrum(samples: np.ndarray, dt: float,
     idx = np.arange(segment_len)
     starts = np.arange(n_seg) * step
     block = 512  # bounded memory; block boundaries do not affect the result
-    if robust:
-        rows = np.empty((n_seg, segment_len))
-        for lo in range(0, n_seg, block):
-            sub = x[starts[lo:lo + block, None] + idx[None, :]] * win[None, :]
-            rows[lo:lo + block] = np.abs(np.fft.fft(sub, axis=1)) ** 2
-        avg = np.median(rows, axis=0) / math.log(2.0)
-    else:
-        acc_p = np.zeros(segment_len)
-        for lo in range(0, n_seg, block):
-            sub = x[starts[lo:lo + block, None] + idx[None, :]] * win[None, :]
-            acc_p += (np.abs(np.fft.fft(sub, axis=1)) ** 2).sum(axis=0)
-        avg = acc_p / n_seg
+    # the median needs every periodogram; the mean keeps only their running sum
+    rows = np.empty((n_seg, segment_len)) if robust else None
+    total = np.zeros(segment_len)
+    for lo in range(0, n_seg, block):
+        sub = x[starts[lo:lo + block, None] + idx[None, :]] * win[None, :]
+        power = np.abs(np.fft.fft(sub, axis=1)) ** 2
+        if robust:
+            rows[lo:lo + block] = power
+        else:
+            total += power.sum(axis=0)
+    avg = np.median(rows, axis=0) / math.log(2.0) if robust else total / n_seg
     psd = np.fft.fftshift(avg) * dt / float(np.sum(win ** 2))
     freqs = np.fft.fftshift(np.fft.fftfreq(segment_len, dt))
     meta = {

@@ -206,7 +206,8 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("command, line", [
         ("spectrum", "omgea=3"), ("coeffs", "omega=1.0"), ("validate", "kernel=gaussian"),
-        ("simulate", "robust=yes"), ("simulate", "robust=False"), ("coeffs", "a=abc")])
+        ("simulate", "robust=yes"), ("simulate", "robust=False"), ("coeffs", "a=abc"),
+        ("simulate", "format=json"), ("bounds", "format=json"), ("validate", "format=json")])
     def test_bad_config_exits_2_before_writing(self, tmp_path, capsys, command, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
@@ -214,6 +215,14 @@ class TestConfigFile:
         assert run(out, command, "--config", str(cfg)) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "bounds", "validate"])
+def test_format_flag_only_on_coeffs_and_spectrum(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, "--format", "json")
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
 
 
 def test_tabulated_kernel_via_cli(tmp_path):

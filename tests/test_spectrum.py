@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from recipspec.errors import (DomainError, StatisticalQualityError,
-                              TruncationError)
+from recipspec.coefficients import build_table
+from recipspec.errors import DomainError, StatisticalQualityError
 from recipspec.kernels import DopplerLorentzian, FlatBand, Lorentzian
-from recipspec.series import asymptotic_floor
-from recipspec.spectrum import (SpectrumResult, TauGrid, make_window,
+from recipspec.series import asymptotic_floor, partial_sum
+from recipspec.spectrum import (SpectrumResult, TauGrid, _hermitian_transform, make_window,
                                 tail_slope, theoretical_spectrum,
                                 welch_covariance_spectrum,
                                 welch_expected_spectrum, window_lag_taper)
@@ -21,8 +22,6 @@ class TestTauGrid:
             TauGrid(dtau=0.0, half_points=64)
         with pytest.raises(DomainError):
             TauGrid(dtau=0.1, half_points=8)
-        with pytest.raises(DomainError):
-            TauGrid(dtau=0.1, half_points=64, offset=0.0)
 
     def test_midpoint_lags_exclude_origin(self):
         g = TauGrid(dtau=0.1, half_points=32)
@@ -81,10 +80,23 @@ class TestTheoreticalSpectrum:
         assert abs(spec.frequencies[int(np.argmax(spec.psd))]
                    - 2.0 / (2 * math.pi)) < 0.2
 
-    def test_strict_tail_raises_when_flagged(self):
+    @given(a=st.floats(0.2, 5.0), beta=st.floats(-10.0, 10.0),
+           omega=st.floats(0.0, 1.2), order=st.sampled_from([0, 2, 4, 6, 8]))
+    @settings(max_examples=25, deadline=None)
+    def test_complex_kernel_psd_real_with_small_hermitian_residue(self, a, beta, omega, order):
+        kernel = DopplerLorentzian(a=a, beta=beta)
+        grid = TauGrid(dtau=0.2, half_points=16)
+        spec = theoretical_spectrum(kernel, omega, order, grid)
+        assert spec.psd.dtype == np.float64 and np.all(np.isfinite(spec.psd))
+        lags = grid.positive_lags()
+        table = build_table(kernel, lags, order)
+        chat = partial_sum(table.centered, table.orders, omega)
+        psd, worst_imag = _hermitian_transform(lags, chat, spec.frequencies, grid.dtau)
+        assert np.array_equal(psd, spec.psd)
+        assert worst_imag <= 1e-10 * np.max(np.abs(psd))
+
+    def test_flagged_lags_counted(self):
         grid = TauGrid(dtau=0.05, half_points=64)
-        with pytest.raises(TruncationError):
-            theoretical_spectrum(Lorentzian(1.0), 1.2, 8, grid, strict_tail=True)
         spec = theoretical_spectrum(Lorentzian(1.0), 1.2, 8, grid)
         assert spec.metadata["flagged_lags"] > 0
 

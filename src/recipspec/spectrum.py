@@ -2,9 +2,13 @@
 
 The theoretical route samples the autocovariance series on a midpoint lag grid
 (tau = +/-(k+1/2) dtau, excluding the logarithmically divergent origin),
-extends it Hermitianly and applies the literal discrete Fourier sum with the
-half-sample phase.  The empirical route is Welch averaging of mean-removed,
-windowed segment periodograms.  A third object, the Welch *expectation*,
+extends it Hermitianly and takes its discrete Fourier sum with the half-sample
+phase.  On the grid's own 2m frequencies (j - m) / (2 m dtau) that sum is one
+FFT and a phase twist; on any other frequencies it is summed literally, in
+blocks of bounded size.  Either way the imaginary part, which cancels by
+Hermitian symmetry, is measured, and a residue above 1e-10 of the peak (or a
+NaN) raises ConsistencyError.  The empirical route is Welch averaging of
+mean-removed, windowed segment periodograms.  A third object, the Welch *expectation*,
 evaluates what the Welch estimator converges to for the discrete-time process
 (integer-lag covariance weighted by the window's lag taper, plus the measured
 zero-lag term); it is the apples-to-apples reference for simulations, since
@@ -25,7 +29,9 @@ from .errors import (ConsistencyError, DomainError, StatisticalQualityError,
 from .kernels import CorrelationKernel, FlatBand
 from .series import SeriesEvaluation, asymptotic_floor, partial_sum, tail_bound
 
-_FREQ_CHUNK = 256
+#: most (frequency, lag) cells in one block of phases of the literal sum:
+#: 2**18 complex values, 4 MB
+_PHASE_BLOCK_CELLS = 1 << 18
 #: share of the outermost flat-band lags under the raised-cosine taper
 _TAPER_FRACTION = 0.1
 
@@ -49,8 +55,12 @@ class TauGrid:
         return (np.arange(self.half_points) + 0.5) * self.dtau
 
     def default_frequencies(self) -> np.ndarray:
-        m = self.half_points
-        return (np.arange(2 * m) - m) / (2.0 * m * self.dtau)
+        return _half_sample_frequencies(self.half_points, self.dtau)
+
+
+def _half_sample_frequencies(m: int, dtau: float) -> np.ndarray:
+    """The 2m frequencies (j - m) / (2 m dtau), j = 0..2m-1, of a midpoint grid."""
+    return (np.arange(2 * m) - m) / (2.0 * m * dtau)
 
 
 @dataclass
@@ -78,22 +88,54 @@ class SpectrumResult:
 
 def _hermitian_transform(lags: np.ndarray, values: np.ndarray,
                          freqs: np.ndarray, dtau: float):
-    """Literal DFT of the Hermitian two-sided extension, chunked over frequency.
+    """Discrete Fourier sum of the Hermitian two-sided extension of ``values``.
+
+    S(f) = dtau * sum_l c_l exp(-2 pi i f tau_l) over the 2m lags
+    tau_l = (l - m + 1/2) dtau, l = 0..2m-1, with c = conj(values) reversed at
+    the negative lags and ``values`` at the positive ones.  Two routes, chosen
+    by ``freqs`` alone:
+
+    - ``freqs`` bitwise equal to the grid's own f_j = (j - m) / (2 m dtau),
+      as ``TauGrid.default_frequencies`` returns them (so does
+      ``fftshift(fftfreq(2m, dtau))`` at dtau 0.1 and 0.5, among others):
+      the phase factors as (-1)^l (-1)^(j+m) exp(-i pi (j - m) / (2m))
+      exp(-2 pi i j l / (2m)), so S is one length-2m FFT of (-1)^l c_l
+      times that twist;
+    - any other ``freqs``: the literal sum, ``_literal_transform``, whose
+      phase rounding error grows with m.
 
     Returns (real_psd, worst_imag_residue); the imaginary part must cancel by
     symmetry and is only measured, never silently discarded.
     """
-    tau_full = np.concatenate([-lags[::-1], lags])
+    m = len(lags)
     c_full = np.concatenate([np.conj(values[::-1]), values])
-    out = np.empty(len(freqs))
-    worst_imag = 0.0
-    for lo in range(0, len(freqs), _FREQ_CHUNK):
-        fch = freqs[lo:lo + _FREQ_CHUNK]
-        phases = np.exp(-2j * np.pi * fch[:, None] * tau_full[None, :])
-        vals = dtau * (phases @ c_full)
-        out[lo:lo + _FREQ_CHUNK] = vals.real
-        worst_imag = max(worst_imag, float(np.max(np.abs(vals.imag))))
-    return out, worst_imag
+    if np.array_equal(freqs, _half_sample_frequencies(m, dtau)):
+        j = np.arange(2 * m)
+        parity = 1 - 2 * (j % 2)  # (-1)^j
+        twist = parity * (-1) ** m * np.exp(-1j * np.pi * (j - m) / (2 * m))
+        vals = dtau * twist * np.fft.fft(parity * c_full)
+    else:
+        tau_full = np.concatenate([-lags[::-1], lags])
+        vals = _literal_transform(tau_full, c_full, freqs, dtau)
+    return vals.real.copy(), float(np.max(np.abs(vals.imag), initial=0.0))
+
+
+def _literal_transform(tau: np.ndarray, c: np.ndarray, freqs: np.ndarray,
+                       dtau: float) -> np.ndarray:
+    """dtau * sum_l c_l exp(-2 pi i f tau_l) at each f, summed term by term.
+
+    Phases are formed in blocks over frequencies and lags of at most
+    ``_PHASE_BLOCK_CELLS`` cells, so memory stays bounded for any grid.
+    """
+    f_block = max(1, min(len(freqs), math.isqrt(_PHASE_BLOCK_CELLS)))
+    lag_block = _PHASE_BLOCK_CELLS // f_block
+    out = np.zeros(len(freqs), dtype=complex)
+    for lo in range(0, len(freqs), f_block):
+        fch = freqs[lo:lo + f_block, None]
+        for k in range(0, len(tau), lag_block):
+            phases = np.exp(-2j * np.pi * fch * tau[None, k:k + lag_block])
+            out[lo:lo + f_block] += phases @ c[k:k + lag_block]
+    return dtau * out
 
 
 def _raised_cosine_taper(n: int) -> np.ndarray:
@@ -118,8 +160,19 @@ def theoretical_spectrum(kernel: CorrelationKernel, omega, order: int,
     For the flat-band kernel the outer 10% of lags get a raised-cosine taper
     before transforming; the sinc covariance decays only like 1/tau and plain
     truncation would ring.  This is a documented leakage-control bias.
+
+    ``freqs`` defaults to the grid's own frequencies, where the transform is
+    one FFT; other frequencies are summed literally (``_hermitian_transform``).
+    Raises DomainError for a non-finite omega or frequency, before any table
+    is built, and ConsistencyError when the transform's imaginary residue is
+    above 1e-10 of the peak or not a number.
     """
     w = finite_nonnegative(omega, "omega")
+    if freqs is None:
+        freqs = grid.default_frequencies()
+    freqs = np.asarray(freqs, dtype=float)
+    if not np.all(np.isfinite(freqs)):
+        raise DomainError("freqs must all be finite")
     lags = grid.positive_lags()
     table = build_table(kernel, lags, order)
     chat = partial_sum(table.centered, table.orders, w)
@@ -131,12 +184,9 @@ def theoretical_spectrum(kernel: CorrelationKernel, omega, order: int,
         chat = chat * _raised_cosine_taper(len(chat))
         tapered = True
 
-    if freqs is None:
-        freqs = grid.default_frequencies()
-    freqs = np.asarray(freqs, dtype=float)
     psd, worst_imag = _hermitian_transform(lags, chat, freqs, grid.dtau)
-    peak = float(np.max(np.abs(psd))) if psd.size else 0.0
-    if peak > 0 and worst_imag > 1e-10 * peak:
+    peak = float(np.max(np.abs(psd), initial=0.0))
+    if not worst_imag <= 1e-10 * peak:  # a NaN fails too
         raise ConsistencyError(
             f"Hermitian transform left imaginary residue {worst_imag:.3e} "
             f"(peak {peak:.3e})")
@@ -260,9 +310,11 @@ def welch_expected_spectrum(kernel: CorrelationKernel, omega, order: int,
     All integer-lag covariances come from the series; the zero-lag term has
     no finite theoretical value for this process class (the variance of the
     sampled reciprocal diverges logarithmically), so the caller supplies the
-    realized one, which is the single measured number in this object.
+    realized one, which is the single measured number in this object; it
+    must be a finite number >= 0 (DomainError, before any table is built).
     """
     w = finite_nonnegative(omega, "omega")
+    r0 = finite_nonnegative(zero_lag_value, "zero_lag_value")
     win = make_window(window_kind, segment_len)
     lags = np.arange(1, segment_len) * finite_positive(dt, "dt")
     table = build_table(kernel, lags, order)
@@ -271,7 +323,7 @@ def welch_expected_spectrum(kernel: CorrelationKernel, omega, order: int,
     rho = window_lag_taper(win)
     g = chat * rho[1:segment_len]
     circ = np.zeros(segment_len, dtype=complex)
-    circ[0] = zero_lag_value
+    circ[0] = r0
     circ[1:] = g + np.conj(g[::-1])
     psd = dt * np.fft.fftshift(np.fft.fft(circ)).real
     freqs = np.fft.fftshift(np.fft.fftfreq(segment_len, dt))
@@ -283,7 +335,7 @@ def welch_expected_spectrum(kernel: CorrelationKernel, omega, order: int,
         "dt": dt,
         "segment_len": segment_len,
         "window": window_kind,
-        "zero_lag_value": float(zero_lag_value),
+        "zero_lag_value": r0,
     }
     return SpectrumResult(frequencies=freqs, psd=psd,
                           dc_line_power=asymptotic_floor(w), metadata=meta)

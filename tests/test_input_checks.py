@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from recipspec import spectrum
 from recipspec.bounds import gaussian_l1_bound, lorentzian_l1_bound, lorentzian_l1_numeric
 from recipspec.coefficients import omega_n_general, omega_n_over_grid
 from recipspec.errors import ConfigError, DomainError
@@ -34,8 +35,9 @@ def _config(**kw):
     return SimulationConfig(**base)
 
 
-def _welch(omega=0.5, dt=0.1, segment_len=64):
-    return welch_expected_spectrum(Lorentzian(1.0), omega, 4, dt, segment_len, "hann", 1.0)
+def _welch(omega=0.5, dt=0.1, segment_len=64, zero_lag_value=1.0):
+    return welch_expected_spectrum(Lorentzian(1.0), omega, 4, dt, segment_len, "hann",
+                                   zero_lag_value)
 
 
 #: name -> (call taking the bad number, expected exception, bad numbers)
@@ -60,7 +62,12 @@ ENTRY_POINTS = {
     "denormalize.r_ww0": (lambda x: denormalize(1.0, x), DomainError, NONFINITE),
     "theoretical_spectrum.omega": (lambda x: theoretical_spectrum(Lorentzian(1.0), x, 4, GRID),
                                    DomainError, BAD_OMEGA),
+    "theoretical_spectrum.freqs": (
+        lambda x: theoretical_spectrum(Lorentzian(1.0), 0.5, 4, GRID, freqs=[x, 0.1]),
+        DomainError, NONFINITE),
     "welch_expected_spectrum.omega": (lambda x: _welch(omega=x), DomainError, BAD_OMEGA),
+    "welch_expected_spectrum.zero_lag_value": (lambda x: _welch(zero_lag_value=x),
+                                               DomainError, BAD_OMEGA),
     "welch_expected_spectrum.dt": (lambda x: _welch(dt=x), DomainError, NONFINITE),
     "welch_expected_spectrum.segment_len": (lambda x: _welch(segment_len=x),
                                             DomainError, BAD_SEGMENT_LEN),
@@ -97,3 +104,20 @@ CASES = [pytest.param(call, error, x, id=f"{name}-{x}")
 def test_entry_point_rejects_bad_number(call, error, value):
     with pytest.raises(error):
         call(value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: theoretical_spectrum(Lorentzian(1.0), 0.5, 4, GRID, freqs=[math.inf]),
+    lambda: _welch(zero_lag_value=math.nan),
+], ids=["theoretical_spectrum.freqs", "welch_expected_spectrum.zero_lag_value"])
+def test_spectrum_checks_run_before_the_table(call, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("coefficient table built for a bad input")
+    monkeypatch.setattr(spectrum, "build_table", refuse)
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_empty_freqs_give_an_empty_spectrum():
+    spec = theoretical_spectrum(Lorentzian(1.0), 0.5, 4, GRID, freqs=[])
+    assert spec.frequencies.shape == (0,) and spec.psd.shape == (0,)

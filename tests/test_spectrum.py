@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from recipspec import cli, spectrum
 from recipspec.coefficients import build_table
-from recipspec.errors import DomainError, StatisticalQualityError
+from recipspec.errors import ConsistencyError, DomainError, StatisticalQualityError
 from recipspec.kernels import DopplerLorentzian, FlatBand, Lorentzian
 from recipspec.series import asymptotic_floor, partial_sum
-from recipspec.spectrum import (SpectrumResult, TauGrid, _hermitian_transform, make_window,
-                                tail_slope, theoretical_spectrum,
-                                welch_covariance_spectrum,
+from recipspec.simulator import SimulationConfig, run_experiment
+from recipspec.spectrum import (SpectrumResult, TauGrid, _hermitian_transform,
+                                _literal_transform, make_window, tail_slope,
+                                theoretical_spectrum, welch_covariance_spectrum,
                                 welch_expected_spectrum, window_lag_taper)
 
 
@@ -95,6 +97,13 @@ class TestTheoreticalSpectrum:
         assert np.array_equal(psd, spec.psd)
         assert worst_imag <= 1e-10 * np.max(np.abs(psd))
 
+    def test_residue_check_fails_closed(self, monkeypatch):
+        def nan_transform(lags, values, freqs, dtau):
+            return np.full(len(freqs), np.nan), math.nan
+        monkeypatch.setattr(spectrum, "_hermitian_transform", nan_transform)
+        with pytest.raises(ConsistencyError):
+            theoretical_spectrum(Lorentzian(1.0), 0.5, 4, TauGrid(dtau=0.2, half_points=16))
+
     def test_flagged_lags_counted(self):
         grid = TauGrid(dtau=0.05, half_points=64)
         spec = theoretical_spectrum(Lorentzian(1.0), 1.2, 8, grid)
@@ -120,6 +129,48 @@ class TestTheoreticalSpectrum:
         ratio = (i3 - i2) / (i2 - i1)
         assert i1 < i2 < i3
         assert 0.7 < ratio < 1.3
+
+
+class TestTransformRoutes:
+    @given(m=st.integers(16, 300), dtau=st.floats(0.01, 2.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_fft_route_matches_literal_sum(self, m, dtau, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        grid = TauGrid(dtau=dtau, half_points=m)
+        lags, freqs = grid.positive_lags(), grid.default_frequencies()
+        fast, _ = _hermitian_transform(lags, values, freqs, dtau)
+        # one bin moved by one ulp sends the whole grid down the literal route
+        nudged = freqs.copy()
+        nudged[1] = np.nextafter(nudged[1], np.inf)
+        slow, _ = _hermitian_transform(lags, values, nudged, dtau)
+        # the literal sum's own phase error grows with m
+        bound = dtau * 2.0 * np.sum(np.abs(values)) * 1e-13 * m
+        assert np.max(np.abs(fast - slow)) <= bound
+
+    def test_literal_blocks_match_per_bin_loop(self):
+        rng = np.random.default_rng(4)
+        dtau, m = 0.1, 300
+        tau = (np.arange(2 * m) - m + 0.5) * dtau
+        c = rng.standard_normal(2 * m) + 1j * rng.standard_normal(2 * m)
+        freqs = np.sort(rng.uniform(-5.0, 5.0, 2 * m))
+        f_block = math.isqrt(spectrum._PHASE_BLOCK_CELLS)
+        assert len(freqs) > f_block and len(tau) > spectrum._PHASE_BLOCK_CELLS // f_block
+        got = _literal_transform(tau, c, freqs, dtau)
+        want = np.array([dtau * np.sum(c * np.exp(-2j * np.pi * f * tau)) for f in freqs])
+        assert np.max(np.abs(got - want)) <= 1e-13 * dtau * np.sum(np.abs(c))
+
+    def test_default_grids_take_the_fft_route(self, monkeypatch, tmp_path):
+        def refuse(*args):
+            raise AssertionError("literal sum on a grid the FFT covers")
+        monkeypatch.setattr(spectrum, "_literal_transform", refuse)
+        assert cli.main(["spectrum", "--omega", "0,0.8", "--order", "6",
+                         "--out-dir", str(tmp_path)]) == 0
+        config = SimulationConfig(kernel=Lorentzian(1.0), omega=0.4, dt=0.1,
+                                  n_samples=1 << 16, seed=88)
+        res = run_experiment(config, segment_len=1024)
+        assert res.theoretical.psd.shape == (1024,)
 
 
 class TestWelch:

@@ -253,12 +253,21 @@ def run_experiment(config: SimulationConfig, order: Optional[int] = None,
     one measured input.  A direct comparison against the midpoint-grid
     theoretical spectrum is also reported (``direct_*``) for reference; it is
     dominated near Nyquist by the sampling floor and lag-parity folding and
-    is not the acceptance metric.
+    is not the acceptance metric; it sits on the midpoint grid of
+    segment_len / 2 lags, whose bins pair with the Welch bins by index.
+
+    A bad Welch setting (``make_window``, ``welch_layout``) or a segment_len
+    that is odd or below 32 (DomainError) fails before any sample is drawn.
     """
     if order is None:
         order = 10 if isinstance(config.kernel, FlatBand) else 20
-    make_window(window_kind, segment_len)  # a bad Welch setting fails before any sample
+    # a bad Welch setting or lag grid fails before any sample is drawn
+    make_window(window_kind, segment_len)
     welch_layout(config.n_samples, segment_len, overlap_fraction)
+    if segment_len % 2:
+        raise DomainError(f"segment_len must be even for the midpoint lag grid, "
+                          f"got {segment_len}")
+    grid = TauGrid(dtau=config.dt, half_points=segment_len // 2)
     w_seq = generate_gaussian(config)
     if dump_path is not None:
         dump_samples(w_seq, dump_path)
@@ -275,10 +284,7 @@ def run_experiment(config: SimulationConfig, order: Optional[int] = None,
         config.kernel, config.omega, order, config.dt, segment_len,
         window_kind, zero_lag_value=r0)
 
-    grid = TauGrid(dtau=config.dt, half_points=segment_len // 2)
-    theoretical = theoretical_spectrum(
-        config.kernel, config.omega, order, grid,
-        freqs=empirical.frequencies)
+    theoretical = theoretical_spectrum(config.kernel, config.omega, order, grid)
 
     metrics = _band_metrics(empirical.psd, expected.psd)
     direct = _band_metrics(empirical.psd, theoretical.psd)

@@ -3,11 +3,10 @@
 The theoretical route samples the autocovariance series on a midpoint lag grid
 (tau = +/-(k+1/2) dtau, excluding the logarithmically divergent origin),
 extends it Hermitianly and takes its discrete Fourier sum with the half-sample
-phase.  On the grid's own 2m frequencies (j - m) / (2 m dtau) that sum is one
-FFT and a phase twist; on any other frequencies it is summed literally, in
-blocks of bounded size.  Either way the imaginary part, which cancels by
-Hermitian symmetry, is measured, and a residue above 1e-10 of the peak (or a
-NaN) raises ConsistencyError.  The empirical route is Welch averaging of
+phase at the grid's own 2m frequencies (j - m) / (2 m dtau): one FFT and a
+phase twist.  The imaginary part, which cancels by Hermitian symmetry, is
+measured, and a residue above 1e-10 of the peak (or a NaN) raises
+ConsistencyError.  The empirical route is Welch averaging of
 mean-removed, windowed segment periodograms.  A third object, the Welch *expectation*,
 evaluates what the Welch estimator converges to for the discrete-time process
 (integer-lag covariance weighted by the window's lag taper, plus the measured
@@ -29,9 +28,6 @@ from .errors import (ConsistencyError, DomainError, StatisticalQualityError,
 from .kernels import CorrelationKernel, FlatBand
 from .series import SeriesEvaluation, asymptotic_floor, partial_sum, tail_bound
 
-#: most (frequency, lag) cells in one block of phases of the literal sum:
-#: 2**18 complex values, 4 MB
-_PHASE_BLOCK_CELLS = 1 << 18
 #: share of the outermost flat-band lags under the raised-cosine taper
 _TAPER_FRACTION = 0.1
 
@@ -55,12 +51,20 @@ class TauGrid:
         return (np.arange(self.half_points) + 0.5) * self.dtau
 
     def default_frequencies(self) -> np.ndarray:
-        return _half_sample_frequencies(self.half_points, self.dtau)
+        """The 2m frequencies (j - m) / (2 m dtau), j = 0..2m-1, of the grid."""
+        m = self.half_points
+        return (np.arange(2 * m) - m) / (2.0 * m * self.dtau)
 
+    def nearest_bins(self, freqs) -> np.ndarray:
+        """Indices into ``default_frequencies`` of the bins nearest ``freqs``.
 
-def _half_sample_frequencies(m: int, dtau: float) -> np.ndarray:
-    """The 2m frequencies (j - m) / (2 m dtau), j = 0..2m-1, of a midpoint grid."""
-    return (np.arange(2 * m) - m) / (2.0 * m * dtau)
+        Raises DomainError for a frequency whose nearest bin is off the grid.
+        """
+        m = self.half_points
+        j = m + np.rint(np.asarray(freqs, dtype=float) * (2.0 * m * self.dtau))
+        if not np.all((j >= 0) & (j < 2 * m)):  # a NaN fails too
+            raise DomainError("frequency outside the grid's band")
+        return j.astype(int)
 
 
 @dataclass
@@ -86,56 +90,27 @@ class SpectrumResult:
                 w.writerow([repr(float(f)), repr(float(p)), repr(db)])
 
 
-def _hermitian_transform(lags: np.ndarray, values: np.ndarray,
-                         freqs: np.ndarray, dtau: float):
+def _hermitian_transform(lags: np.ndarray, values: np.ndarray, dtau: float):
     """Discrete Fourier sum of the Hermitian two-sided extension of ``values``.
 
-    S(f) = dtau * sum_l c_l exp(-2 pi i f tau_l) over the 2m lags
+    S(f_j) = dtau * sum_l c_l exp(-2 pi i f_j tau_l) over the 2m lags
     tau_l = (l - m + 1/2) dtau, l = 0..2m-1, with c = conj(values) reversed at
-    the negative lags and ``values`` at the positive ones.  Two routes, chosen
-    by ``freqs`` alone:
-
-    - ``freqs`` bitwise equal to the grid's own f_j = (j - m) / (2 m dtau),
-      as ``TauGrid.default_frequencies`` returns them (so does
-      ``fftshift(fftfreq(2m, dtau))`` at dtau 0.1 and 0.5, among others):
-      the phase factors as (-1)^l (-1)^(j+m) exp(-i pi (j - m) / (2m))
-      exp(-2 pi i j l / (2m)), so S is one length-2m FFT of (-1)^l c_l
-      times that twist;
-    - any other ``freqs``: the literal sum, ``_literal_transform``, whose
-      phase rounding error grows with m.
+    the negative lags and ``values`` at the positive ones, at the grid's own
+    frequencies f_j = (j - m) / (2 m dtau) (``TauGrid.default_frequencies``).
+    The phase factors as (-1)^l (-1)^(j+m) exp(-i pi (j - m) / (2m))
+    exp(-2 pi i j l / (2m)), so S is one length-2m FFT of (-1)^l c_l times
+    that twist.
 
     Returns (real_psd, worst_imag_residue); the imaginary part must cancel by
     symmetry and is only measured, never silently discarded.
     """
     m = len(lags)
     c_full = np.concatenate([np.conj(values[::-1]), values])
-    if np.array_equal(freqs, _half_sample_frequencies(m, dtau)):
-        j = np.arange(2 * m)
-        parity = 1 - 2 * (j % 2)  # (-1)^j
-        twist = parity * (-1) ** m * np.exp(-1j * np.pi * (j - m) / (2 * m))
-        vals = dtau * twist * np.fft.fft(parity * c_full)
-    else:
-        tau_full = np.concatenate([-lags[::-1], lags])
-        vals = _literal_transform(tau_full, c_full, freqs, dtau)
+    j = np.arange(2 * m)
+    parity = 1 - 2 * (j % 2)  # (-1)^j
+    twist = parity * (-1) ** m * np.exp(-1j * np.pi * (j - m) / (2 * m))
+    vals = dtau * twist * np.fft.fft(parity * c_full)
     return vals.real.copy(), float(np.max(np.abs(vals.imag), initial=0.0))
-
-
-def _literal_transform(tau: np.ndarray, c: np.ndarray, freqs: np.ndarray,
-                       dtau: float) -> np.ndarray:
-    """dtau * sum_l c_l exp(-2 pi i f tau_l) at each f, summed term by term.
-
-    Phases are formed in blocks over frequencies and lags of at most
-    ``_PHASE_BLOCK_CELLS`` cells, so memory stays bounded for any grid.
-    """
-    f_block = max(1, min(len(freqs), math.isqrt(_PHASE_BLOCK_CELLS)))
-    lag_block = _PHASE_BLOCK_CELLS // f_block
-    out = np.zeros(len(freqs), dtype=complex)
-    for lo in range(0, len(freqs), f_block):
-        fch = freqs[lo:lo + f_block, None]
-        for k in range(0, len(tau), lag_block):
-            phases = np.exp(-2j * np.pi * fch * tau[None, k:k + lag_block])
-            out[lo:lo + f_block] += phases @ c[k:k + lag_block]
-    return dtau * out
 
 
 def _raised_cosine_taper(n: int) -> np.ndarray:
@@ -148,8 +123,12 @@ def _raised_cosine_taper(n: int) -> np.ndarray:
 
 
 def theoretical_spectrum(kernel: CorrelationKernel, omega, order: int,
-                         grid: TauGrid, freqs: np.ndarray | None = None) -> SpectrumResult:
+                         grid: TauGrid) -> SpectrumResult:
     """Transform the autocovariance series into a covariance power spectrum.
+
+    The spectrum is given on the grid's own 2m frequencies
+    (``grid.default_frequencies()``), where the transform is one FFT
+    (``_hermitian_transform``).
 
     The series is evaluated once per lag through a coefficient table.  Lags
     whose tail bound exceeds the flag level are counted in the metadata.
@@ -161,18 +140,11 @@ def theoretical_spectrum(kernel: CorrelationKernel, omega, order: int,
     before transforming; the sinc covariance decays only like 1/tau and plain
     truncation would ring.  This is a documented leakage-control bias.
 
-    ``freqs`` defaults to the grid's own frequencies, where the transform is
-    one FFT; other frequencies are summed literally (``_hermitian_transform``).
-    Raises DomainError for a non-finite omega or frequency, before any table
+    Raises DomainError for a non-finite or negative omega, before any table
     is built, and ConsistencyError when the transform's imaginary residue is
     above 1e-10 of the peak or not a number.
     """
     w = finite_nonnegative(omega, "omega")
-    if freqs is None:
-        freqs = grid.default_frequencies()
-    freqs = np.asarray(freqs, dtype=float)
-    if not np.all(np.isfinite(freqs)):
-        raise DomainError("freqs must all be finite")
     lags = grid.positive_lags()
     table = build_table(kernel, lags, order)
     chat = partial_sum(table.centered, table.orders, w)
@@ -184,7 +156,7 @@ def theoretical_spectrum(kernel: CorrelationKernel, omega, order: int,
         chat = chat * _raised_cosine_taper(len(chat))
         tapered = True
 
-    psd, worst_imag = _hermitian_transform(lags, chat, freqs, grid.dtau)
+    psd, worst_imag = _hermitian_transform(lags, chat, grid.dtau)
     peak = float(np.max(np.abs(psd), initial=0.0))
     if not worst_imag <= 1e-10 * peak:  # a NaN fails too
         raise ConsistencyError(
@@ -201,7 +173,7 @@ def theoretical_spectrum(kernel: CorrelationKernel, omega, order: int,
         "flagged_lags": flagged,
         "taper": "raised-cosine outer 10%" if tapered else "none",
     }
-    return SpectrumResult(frequencies=freqs, psd=psd,
+    return SpectrumResult(frequencies=grid.default_frequencies(), psd=psd,
                           dc_line_power=asymptotic_floor(w), metadata=meta)
 
 

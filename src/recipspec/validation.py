@@ -217,10 +217,12 @@ def check_tail_slope():
     by the logarithmic origin singularity, which is present at every omega.
     """
     grid = spectrum.TauGrid(dtau=0.002, half_points=40000)
-    freqs = np.geomspace(1.5, 16.0, 160)
-    spec = spectrum.theoretical_spectrum(Lorentzian(a=1.0), 0.0, 0, grid,
-                                         freqs=freqs)
-    slope = spectrum.tail_slope(spec, 1.6, 16.0)
+    spec = spectrum.theoretical_spectrum(Lorentzian(a=1.0), 0.0, 0, grid)
+    # the grid bins nearest log-spaced points keep the fit log-weighted
+    near = grid.nearest_bins(np.geomspace(1.5, 16.0, 160))
+    tail = spectrum.SpectrumResult(spec.frequencies[near], spec.psd[near],
+                                   spec.dc_line_power)
+    slope = spectrum.tail_slope(tail, 1.6, 16.0)
     return abs(slope + 1.0) < 0.1, {"slope": slope, "window": [1.6, 16.0]}
 
 

@@ -125,7 +125,8 @@ class TestSimulate:
     @pytest.mark.parametrize("flag, value", [
         ("--segment-len", "0"), ("--segment-len", "1"), ("--segment-len", "-4"),
         ("--window", "kaiserabc"), ("--window", "kaisernan"),
-        ("--segment-len", "16384"), ("--segment-len", "131072"), ("--overlap", "0.95")])
+        ("--segment-len", "16384"), ("--segment-len", "131072"), ("--overlap", "0.95"),
+        ("--segment-len", "16"), ("--segment-len", "1025")])
     def test_bad_welch_setting_exits_2_before_sampling(self, tmp_path, capsys, flag, value):
         rc = run(tmp_path, "simulate", "--kernel", "lorentzian", "--samples", str(1 << 16),
                  "--dump-samples", "samples.bin", flag, value)

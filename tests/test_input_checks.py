@@ -62,9 +62,6 @@ ENTRY_POINTS = {
     "denormalize.r_ww0": (lambda x: denormalize(1.0, x), DomainError, NONFINITE),
     "theoretical_spectrum.omega": (lambda x: theoretical_spectrum(Lorentzian(1.0), x, 4, GRID),
                                    DomainError, BAD_OMEGA),
-    "theoretical_spectrum.freqs": (
-        lambda x: theoretical_spectrum(Lorentzian(1.0), 0.5, 4, GRID, freqs=[x, 0.1]),
-        DomainError, NONFINITE),
     "welch_expected_spectrum.omega": (lambda x: _welch(omega=x), DomainError, BAD_OMEGA),
     "welch_expected_spectrum.zero_lag_value": (lambda x: _welch(zero_lag_value=x),
                                                DomainError, BAD_OMEGA),
@@ -76,6 +73,7 @@ ENTRY_POINTS = {
         DomainError, BAD_SEGMENT_LEN),
     "make_window.kaiser_beta": (lambda x: make_window(f"kaiser{x}", 64), DomainError, BAD_OMEGA),
     "TauGrid.dtau": (lambda x: TauGrid(dtau=x, half_points=16), DomainError, NONFINITE),
+    "TauGrid.nearest_bins": (lambda x: GRID.nearest_bins([0.1, x]), DomainError, NONFINITE),
     "SimulationConfig.omega": (lambda x: _config(omega=x), ConfigError, BAD_OMEGA),
     "SimulationConfig.dt": (lambda x: _config(dt=x), ConfigError, NONFINITE),
     "invert.omega": (lambda x: invert(SAMPLES, x), DomainError, BAD_OMEGA),
@@ -107,17 +105,11 @@ def test_entry_point_rejects_bad_number(call, error, value):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: theoretical_spectrum(Lorentzian(1.0), 0.5, 4, GRID, freqs=[math.inf]),
     lambda: _welch(zero_lag_value=math.nan),
-], ids=["theoretical_spectrum.freqs", "welch_expected_spectrum.zero_lag_value"])
+], ids=["welch_expected_spectrum.zero_lag_value"])
 def test_spectrum_checks_run_before_the_table(call, monkeypatch):
     def refuse(*args):
         raise AssertionError("coefficient table built for a bad input")
     monkeypatch.setattr(spectrum, "build_table", refuse)
     with pytest.raises(DomainError):
         call()
-
-
-def test_empty_freqs_give_an_empty_spectrum():
-    spec = theoretical_spectrum(Lorentzian(1.0), 0.5, 4, GRID, freqs=[])
-    assert spec.frequencies.shape == (0,) and spec.psd.shape == (0,)

@@ -11,6 +11,7 @@ from recipspec.simulator import (SimulationConfig, design_flat_fir,
                                  empirical_acf, generate_gaussian,
                                  generator_fidelity_check, invert,
                                  run_experiment)
+from recipspec.spectrum import TauGrid
 
 
 def cfg_lorentzian(**kw):
@@ -183,6 +184,19 @@ class TestRunExperiment:
         assert res.empirical.psd.shape == res.expected.psd.shape
         assert res.theoretical.psd.shape == res.expected.psd.shape
         assert res.fidelity["worst_sigma"] <= 3.0
+
+    def test_theory_on_the_grid_frequencies_off_the_fft_dts(self):
+        # at dt 0.7 the Welch bins fftshift(fftfreq(n, dt)) sit one ulp off
+        # the grid's (j - m) / (2 m dt); the theory stays on the grid
+        config = cfg_lorentzian(kernel=Lorentzian(0.5), omega=0.4, dt=0.7,
+                                n_samples=1 << 16, seed=5)
+        res = run_experiment(config, segment_len=1024)
+        grid_f = TauGrid(0.7, 512).default_frequencies()
+        assert np.array_equal(res.theoretical.frequencies, grid_f)
+        welch_f = res.empirical.frequencies
+        assert np.all(np.abs(welch_f - grid_f) <= np.spacing(np.abs(grid_f)))
+        for key in ("direct_median_db", "direct_p95_db", "direct_max_db"):
+            assert math.isfinite(res.metrics[key])
 
 
 class TestSampleDump:

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recipspec import cli, spectrum
+from recipspec import spectrum
 from recipspec.coefficients import build_table
 from recipspec.errors import ConsistencyError, DomainError, StatisticalQualityError
 from recipspec.kernels import DopplerLorentzian, FlatBand, Lorentzian
 from recipspec.series import asymptotic_floor, partial_sum
-from recipspec.simulator import SimulationConfig, run_experiment
 from recipspec.spectrum import (SpectrumResult, TauGrid, _hermitian_transform,
-                                _literal_transform, make_window, tail_slope,
+                                make_window, tail_slope,
                                 theoretical_spectrum, welch_covariance_spectrum,
                                 welch_expected_spectrum, window_lag_taper)
 
@@ -37,6 +36,16 @@ class TestTauGrid:
         assert len(f) == 64
         assert f[0] == pytest.approx(-5.0)
         assert f[-1] < 5.0
+
+    def test_nearest_bins_invert_the_frequencies(self):
+        g = TauGrid(dtau=0.1, half_points=32)
+        f = g.default_frequencies()
+        np.testing.assert_array_equal(g.nearest_bins(f), np.arange(64))
+        np.testing.assert_array_equal(g.nearest_bins(f[:-1] + 0.49 * (f[1] - f[0])),
+                                      np.arange(63))
+        for off_band in (-5.1, 5.0):
+            with pytest.raises(DomainError):
+                g.nearest_bins([0.0, off_band])
 
 
 class TestTheoreticalSpectrum:
@@ -93,13 +102,13 @@ class TestTheoreticalSpectrum:
         lags = grid.positive_lags()
         table = build_table(kernel, lags, order)
         chat = partial_sum(table.centered, table.orders, omega)
-        psd, worst_imag = _hermitian_transform(lags, chat, spec.frequencies, grid.dtau)
+        psd, worst_imag = _hermitian_transform(lags, chat, grid.dtau)
         assert np.array_equal(psd, spec.psd)
         assert worst_imag <= 1e-10 * np.max(np.abs(psd))
 
     def test_residue_check_fails_closed(self, monkeypatch):
-        def nan_transform(lags, values, freqs, dtau):
-            return np.full(len(freqs), np.nan), math.nan
+        def nan_transform(lags, values, dtau):
+            return np.full(2 * len(values), np.nan), math.nan
         monkeypatch.setattr(spectrum, "_hermitian_transform", nan_transform)
         with pytest.raises(ConsistencyError):
             theoretical_spectrum(Lorentzian(1.0), 0.5, 4, TauGrid(dtau=0.2, half_points=16))
@@ -140,37 +149,13 @@ class TestTransformRoutes:
         values = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         grid = TauGrid(dtau=dtau, half_points=m)
         lags, freqs = grid.positive_lags(), grid.default_frequencies()
-        fast, _ = _hermitian_transform(lags, values, freqs, dtau)
-        # one bin moved by one ulp sends the whole grid down the literal route
-        nudged = freqs.copy()
-        nudged[1] = np.nextafter(nudged[1], np.inf)
-        slow, _ = _hermitian_transform(lags, values, nudged, dtau)
+        fast, _ = _hermitian_transform(lags, values, dtau)
+        tau = np.concatenate([-lags[::-1], lags])
+        c = np.concatenate([np.conj(values[::-1]), values])
+        slow = np.array([dtau * np.sum(c * np.exp(-2j * np.pi * f * tau)) for f in freqs])
         # the literal sum's own phase error grows with m
         bound = dtau * 2.0 * np.sum(np.abs(values)) * 1e-13 * m
-        assert np.max(np.abs(fast - slow)) <= bound
-
-    def test_literal_blocks_match_per_bin_loop(self):
-        rng = np.random.default_rng(4)
-        dtau, m = 0.1, 300
-        tau = (np.arange(2 * m) - m + 0.5) * dtau
-        c = rng.standard_normal(2 * m) + 1j * rng.standard_normal(2 * m)
-        freqs = np.sort(rng.uniform(-5.0, 5.0, 2 * m))
-        f_block = math.isqrt(spectrum._PHASE_BLOCK_CELLS)
-        assert len(freqs) > f_block and len(tau) > spectrum._PHASE_BLOCK_CELLS // f_block
-        got = _literal_transform(tau, c, freqs, dtau)
-        want = np.array([dtau * np.sum(c * np.exp(-2j * np.pi * f * tau)) for f in freqs])
-        assert np.max(np.abs(got - want)) <= 1e-13 * dtau * np.sum(np.abs(c))
-
-    def test_default_grids_take_the_fft_route(self, monkeypatch, tmp_path):
-        def refuse(*args):
-            raise AssertionError("literal sum on a grid the FFT covers")
-        monkeypatch.setattr(spectrum, "_literal_transform", refuse)
-        assert cli.main(["spectrum", "--omega", "0,0.8", "--order", "6",
-                         "--out-dir", str(tmp_path)]) == 0
-        config = SimulationConfig(kernel=Lorentzian(1.0), omega=0.4, dt=0.1,
-                                  n_samples=1 << 16, seed=88)
-        res = run_experiment(config, segment_len=1024)
-        assert res.theoretical.psd.shape == (1024,)
+        assert np.max(np.abs(fast - slow.real)) <= bound
 
 
 class TestWelch:
@@ -264,9 +249,10 @@ class TestTailSlope:
 
     def test_theoretical_tail_is_one_over_f(self):
         grid = TauGrid(dtau=0.005, half_points=8192)
-        freqs = np.geomspace(1.6, 16.0, 120)
-        spec = theoretical_spectrum(Lorentzian(1.0), 0.0, 0, grid, freqs=freqs)
-        slope = tail_slope(spec, 1.6, 16.0)
+        spec = theoretical_spectrum(Lorentzian(1.0), 0.0, 0, grid)
+        near = grid.nearest_bins(np.geomspace(1.6, 16.0, 120))
+        tail = SpectrumResult(spec.frequencies[near], spec.psd[near], spec.dc_line_power)
+        slope = tail_slope(tail, 1.6, 16.0)
         assert slope == pytest.approx(-1.0, abs=0.1)
 
 

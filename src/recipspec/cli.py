@@ -1,14 +1,20 @@
 """Command-line interface: parameter sweeps, validation runs, file emission.
 
-Subcommands: coeffs, spectrum, simulate, bounds, validate.  Every run writes a
-manifest listing resolved parameters and the SHA-256 of each emitted file.
-Exit codes: 0 ok, 1 validation failure, 2 usage/domain error, 3 accuracy error.
+Subcommands: coeffs, spectrum, simulate, bounds, validate.  Each declares its
+options once, in its table below; the table makes both the ``--flag`` and the
+``--config`` key, with the same converter, choices and default.  Every run
+writes a manifest listing resolved parameters and the SHA-256 of each emitted
+file.  Exit codes: 0 ok, 1 validation failure, 2 usage/domain error,
+3 accuracy error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -28,6 +34,50 @@ EXIT_USAGE = 2
 EXIT_ACCURACY = 3
 
 
+@dataclass(frozen=True)
+class Option:
+    """One option of a subcommand: the flag ``--name`` (dashes for
+    underscores) and the config key ``name``.
+
+    ``type`` converts the text of either; ``bool`` makes a switch, which a
+    config file sets with ``true`` or ``false``.  The default applies when
+    neither the flag nor the config file gives a value.
+    """
+
+    name: str
+    type: Callable = str
+    default: object = None
+    help: str = ""
+    choices: tuple = ()
+
+
+_COMMON = (Option("out_dir", default=".", help="output directory"),)
+
+_KERNEL = (
+    Option("kernel", default="lorentzian", help="correlation kernel",
+           choices=("lorentzian", "gaussian", "flatband", "doppler_lorentzian",
+                    "tabulated")),
+    Option("a", float, 1.0, "decay rate"),
+    Option("beta", float, 0.0, "frequency offset"),
+    Option("table", help="CSV path for tabulated kernels"),
+)
+
+_FORMAT = (Option("format", default="csv", help="output file format",
+                  choices=("csv", "json")),)
+
+
+def _convert(opt: Option, text: str):
+    """A config value through the option's converter and choices."""
+    if opt.type is bool:
+        if text not in ("true", "false"):
+            raise ValueError(f"expected true or false, got {text!r}")
+        return text == "true"
+    value = opt.type(text)
+    if opt.choices and value not in opt.choices:
+        raise ValueError(f"invalid choice {value!r} (choose from {', '.join(opt.choices)})")
+    return value
+
+
 def _load_config_file(path) -> dict:
     """KEY=VALUE lines; '#' comments and blank lines ignored."""
     out = {}
@@ -43,169 +93,102 @@ def _load_config_file(path) -> dict:
     return out
 
 
-def _config_bool(value: str) -> bool:
-    if value not in ("true", "false"):
-        raise ConfigError(f"expected true or false, got {value!r}")
-    return value == "true"
-
-
-def _resolve(args: argparse.Namespace, converters: dict) -> dict:
-    """Fill parse results from the optional config file; flags win.
+def _resolve(args: argparse.Namespace) -> dict:
+    """Each option of the subcommand from its flag, else the config file, else its default.
 
     A config key that is not an option of the subcommand, or a value its
-    converter rejects, raises ConfigError.
+    converter or choices reject, raises ConfigError.
     """
+    options = COMMANDS[args.command][1]
     config = _load_config_file(args.config) if args.config else {}
-    unknown = sorted(set(config) - set(converters))
+    unknown = sorted(set(config) - {opt.name for opt in options})
     if unknown:
         raise ConfigError(f"unknown config keys for {args.command}: {', '.join(unknown)}")
     resolved = {}
-    for key, (conv, default) in converters.items():
-        val = getattr(args, key, None)
-        if val is None:
-            raw = config.get(key)
+    for opt in options:
+        value = getattr(args, opt.name)
+        if value is None:
+            raw = config.get(opt.name)
             try:
-                val = conv(raw) if raw is not None else default
+                value = opt.default if raw is None else _convert(opt, raw)
             except ValueError as exc:
-                raise ConfigError(f"config {key}: {exc}") from None
-        resolved[key] = val
+                raise ConfigError(f"config {opt.name}: {exc}") from None
+        resolved[opt.name] = value
     return resolved
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="RNG seed")
-    p.add_argument("--out-dir", default=None, help="output directory")
-    p.add_argument("--config", default=None, help="KEY=VALUE defaults file")
+def _emit(manifest: RunManifest, name: str, content) -> None:
+    """Write ``content`` (text, or a function that writes a path) atomically
+    into the output directory and record the file in the manifest."""
+    path = os.path.join(manifest.parameters["out_dir"], name)
+    if callable(content):
+        atomic_write_via(path, content)
+    else:
+        atomic_write_text(path, content)
+    manifest.add_output(path)
 
 
-def _add_kernel_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kernel", default=None,
-                   choices=("lorentzian", "gaussian", "flatband",
-                            "doppler_lorentzian", "tabulated"))
-    p.add_argument("--a", type=float, default=None, help="decay rate")
-    p.add_argument("--beta", type=float, default=None, help="frequency offset")
-    p.add_argument("--table", default=None, help="CSV path for tabulated kernels")
+def _kernel_from(p: dict):
+    return make_kernel(p["kernel"], a=p["a"], beta=p["beta"], table_path=p["table"])
 
 
-def _kernel_from(resolved: dict):
-    return make_kernel(resolved["kernel"], a=resolved["a"],
-                       beta=resolved["beta"], table_path=resolved["table"])
-
-
-_KERNEL_CONV = {
-    "kernel": (str, "lorentzian"),
-    "a": (float, 1.0),
-    "beta": (float, 0.0),
-    "table": (str, None),
-}
-
-
-def _out(resolved, name):
-    import os
-    return os.path.join(resolved["out_dir"], name)
-
-
-def cmd_coeffs(args) -> int:
-    conv = dict(_KERNEL_CONV)
-    conv.update({
-        "tau_start": (float, 0.05), "tau_stop": (float, 20.0),
-        "tau_step": (float, 0.05), "max_order": (int, 20),
-        "out_dir": (str, "."), "format": (str, "csv"), "seed": (int, None),
-    })
-    resolved = _resolve(args, conv)
-    kernel = _kernel_from(resolved)
-    start = finite_nonnegative(resolved["tau_start"], "--tau-start")
-    stop = finite_nonnegative(resolved["tau_stop"], "--tau-stop")
-    step = finite_positive(resolved["tau_step"], "--tau-step")
+def cmd_coeffs(p: dict, manifest: RunManifest) -> int:
+    kernel = _kernel_from(p)
+    start = finite_nonnegative(p["tau_start"], "--tau-start")
+    stop = finite_nonnegative(p["tau_stop"], "--tau-stop")
+    step = finite_positive(p["tau_step"], "--tau-step")
     if stop < start:
         raise DomainError(f"--tau-stop {stop!r} is below --tau-start {start!r}")
     lags = np.arange(start, stop + 1e-12, step)
-    table = build_table(kernel, lags, resolved["max_order"])
-    manifest = RunManifest("coeffs", {k: v for k, v in resolved.items()},
-                           seed=resolved["seed"], package_version=__version__)
-    if resolved["format"] == "csv":
-        path = _out(resolved, "coeffs.csv")
-        atomic_write_via(path, table.to_csv)
+    table = build_table(kernel, lags, p["max_order"])
+    if p["format"] == "csv":
+        _emit(manifest, "coeffs.csv", table.to_csv)
     else:
-        path = _out(resolved, "coeffs.json")
         payload = [dict(zip(table.COLUMNS, row)) for row in table.rows()]
-        atomic_write_text(path, dump_json(payload, indent=1))
-    manifest.add_output(path)
-    manifest.write(_out(resolved, "manifest.json"))
+        _emit(manifest, "coeffs.json", dump_json(payload, indent=1))
     return EXIT_OK
 
 
-def cmd_spectrum(args) -> int:
-    conv = dict(_KERNEL_CONV)
-    conv.update({
-        "omega": (str, "0.0"), "order": (int, 20),
-        "dtau": (float, 0.05), "half_points": (int, 512),
-        "out_dir": (str, "."), "format": (str, "csv"), "seed": (int, None),
-    })
-    resolved = _resolve(args, conv)
-    kernel = _kernel_from(resolved)
-    omegas = [finite_nonnegative(tok, "omega") for tok in str(resolved["omega"]).split(",")]
-    grid = TauGrid(dtau=resolved["dtau"], half_points=resolved["half_points"])
-    manifest = RunManifest("spectrum", resolved, seed=resolved["seed"],
-                           package_version=__version__)
-    for w in omegas:
-        result = theoretical_spectrum(kernel, w, resolved["order"], grid)
-        stem = f"spectrum_omega{w:g}"
-        if resolved["format"] == "csv":
-            path = _out(resolved, stem + ".csv")
-            atomic_write_via(path, result.to_csv)
+def cmd_spectrum(p: dict, manifest: RunManifest) -> int:
+    kernel = _kernel_from(p)
+    omegas = [finite_nonnegative(tok, "omega") for tok in str(p["omega"]).split(",")]
+    stems = [f"spectrum_omega{w:g}" for w in omegas]
+    for i, stem in enumerate(stems):
+        if stem in stems[:i]:
+            raise DomainError(f"omegas {omegas[stems.index(stem)]!r} and {omegas[i]!r} "
+                              f"would both write {stem}.{p['format']}")
+    grid = TauGrid(dtau=p["dtau"], half_points=p["half_points"])
+    for w, stem in zip(omegas, stems):
+        result = theoretical_spectrum(kernel, w, p["order"], grid)
+        if p["format"] == "csv":
+            _emit(manifest, stem + ".csv", result.to_csv)
         else:
-            path = _out(resolved, stem + ".json")
-            payload = {"freq": result.frequencies.tolist(),
-                       "psd": result.psd.tolist()}
-            atomic_write_text(path, dump_json(payload, indent=None))
-        manifest.add_output(path)
+            payload = {"freq": result.frequencies.tolist(), "psd": result.psd.tolist()}
+            _emit(manifest, stem + ".json", dump_json(payload, indent=None))
         side = dict(result.metadata)
         side["dc_line_power"] = result.dc_line_power
-        side_path = _out(resolved, stem + "_meta.json")
-        atomic_write_text(side_path, dump_json(side))
-        manifest.add_output(side_path)
-    manifest.write(_out(resolved, "manifest.json"))
+        _emit(manifest, stem + "_meta.json", dump_json(side))
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    conv = dict(_KERNEL_CONV)
-    conv.update({
-        "omega": (float, 0.0), "order": (int, None), "dt": (float, 0.1),
-        "samples": (int, 2 ** 22), "fir_taps": (int, 1025),
-        "segment_len": (int, 4096), "overlap": (float, 0.5),
-        "window": (str, "hann"), "robust": (_config_bool, False),
-        "threads": (int, 1), "dump_samples": (str, None),
-        "out_dir": (str, "."), "seed": (int, 12345),
-    })
-    resolved = _resolve(args, conv)
-    if resolved["threads"] < 1:
+def cmd_simulate(p: dict, manifest: RunManifest) -> int:
+    if p["threads"] < 1:
         raise ConfigError("--threads must be >= 1")
-    kernel = _kernel_from(resolved)
-    config = SimulationConfig(kernel=kernel, omega=resolved["omega"],
-                              dt=resolved["dt"], n_samples=resolved["samples"],
-                              seed=resolved["seed"],
-                              fir_taps=resolved["fir_taps"])
-    dump_path = (_out(resolved, resolved["dump_samples"])
-                 if resolved["dump_samples"] else None)
-    result = run_experiment(config, order=resolved["order"],
-                            segment_len=resolved["segment_len"],
-                            overlap_fraction=resolved["overlap"],
-                            window_kind=resolved["window"],
-                            robust=resolved["robust"],
-                            dump_path=dump_path)
-    manifest = RunManifest("simulate", resolved, seed=resolved["seed"],
-                           package_version=__version__)
+    config = SimulationConfig(kernel=_kernel_from(p), omega=p["omega"], dt=p["dt"],
+                              n_samples=p["samples"], seed=p["seed"],
+                              fir_taps=p["fir_taps"])
+    dump_path = (os.path.join(p["out_dir"], p["dump_samples"])
+                 if p["dump_samples"] else None)
+    result = run_experiment(config, order=p["order"], segment_len=p["segment_len"],
+                            overlap_fraction=p["overlap"], window_kind=p["window"],
+                            robust=p["robust"], dump_path=dump_path)
     if dump_path is not None:
         manifest.add_output(dump_path)
-        manifest.add_output(str(dump_path) + ".json")
+        manifest.add_output(dump_path + ".json")
     for stem, spec_obj in (("empirical", result.empirical),
                            ("expected", result.expected),
                            ("theoretical", result.theoretical)):
-        path = _out(resolved, stem + ".csv")
-        atomic_write_via(path, spec_obj.to_csv)
-        manifest.add_output(path)
+        _emit(manifest, stem + ".csv", spec_obj.to_csv)
     report = {
         "metrics": result.metrics,
         "fidelity": result.fidelity,
@@ -213,40 +196,21 @@ def cmd_simulate(args) -> int:
         "dc_line_power_theory": result.theoretical.dc_line_power,
         "dc_line_power_empirical": result.empirical.dc_line_power,
     }
-    report_path = _out(resolved, "report.json")
-    atomic_write_text(report_path, dump_json(report))
-    manifest.add_output(report_path)
-    manifest.write(_out(resolved, "manifest.json"))
+    _emit(manifest, "report.json", dump_json(report))
     return EXIT_OK
 
 
-def cmd_bounds(args) -> int:
-    conv = dict(_KERNEL_CONV)
-    conv.update({"out_dir": (str, "."), "seed": (int, None)})
-    resolved = _resolve(args, conv)
-    kernel = _kernel_from(resolved)
-    report = integrability_report(kernel)
-    path = _out(resolved, "bounds.json")
-    atomic_write_text(path, dump_json(report.to_dict()))
-    manifest = RunManifest("bounds", resolved, seed=resolved["seed"],
-                           package_version=__version__)
-    manifest.add_output(path)
-    manifest.write(_out(resolved, "manifest.json"))
-    print(dump_json(report.to_dict()), end="")
+def cmd_bounds(p: dict, manifest: RunManifest) -> int:
+    text = dump_json(integrability_report(_kernel_from(p)).to_dict())
+    _emit(manifest, "bounds.json", text)
+    print(text, end="")
     return EXIT_OK
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(p: dict, manifest: RunManifest) -> int:
     from .validation import run_checks
-    conv = {"profile": (str, "quick"), "out_dir": (str, "."), "seed": (int, None)}
-    resolved = _resolve(args, conv)
-    verdict = run_checks(resolved["profile"])
-    path = _out(resolved, "validation.json")
-    atomic_write_text(path, dump_json(verdict))
-    manifest = RunManifest("validate", resolved, seed=resolved["seed"],
-                           package_version=__version__)
-    manifest.add_output(path)
-    manifest.write(_out(resolved, "manifest.json"))
+    verdict = run_checks(p["profile"])
+    _emit(manifest, "validation.json", dump_json(verdict))
     for check in verdict["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
         print(f"{status} {check['name']} ({check['runtime_s']:.1f}s)")
@@ -257,6 +221,41 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+#: subcommand -> (help, option table, command)
+COMMANDS = {
+    "coeffs": ("coefficient table over a lag grid", _COMMON + _FORMAT + _KERNEL + (
+        Option("tau_start", float, 0.05, "first lag"),
+        Option("tau_stop", float, 20.0, "last lag"),
+        Option("tau_step", float, 0.05, "lag spacing"),
+        Option("max_order", int, 20, "highest series order"),
+    ), cmd_coeffs),
+    "spectrum": ("theoretical covariance spectrum", _COMMON + _FORMAT + _KERNEL + (
+        Option("omega", default="0.0", help="offset: a value or a comma list"),
+        Option("order", int, 20, "series order"),
+        Option("dtau", float, 0.05, "midpoint lag spacing"),
+        Option("half_points", int, 512, "lags on each side of the origin"),
+    ), cmd_spectrum),
+    "simulate": ("simulate, invert, and compare spectra", _COMMON + _KERNEL + (
+        Option("seed", int, 12345, "RNG seed"),
+        Option("omega", float, 0.0, "offset"),
+        Option("order", int, None, "series order (default 10 for flatband, else 20)"),
+        Option("dt", float, 0.1, "sample spacing"),
+        Option("samples", int, 2 ** 22, "number of samples"),
+        Option("fir_taps", int, 1025, "flat-band FIR length"),
+        Option("segment_len", int, 4096, "Welch segment length"),
+        Option("overlap", float, 0.5, "Welch segment overlap fraction"),
+        Option("window", default="hann", help="Welch window: hann, boxcar or kaiser<beta>"),
+        Option("robust", bool, False, "median instead of mean of the Welch periodograms"),
+        Option("threads", int, 1, "worker count (results are independent of it)"),
+        Option("dump_samples", help="also dump the raw generated stream to this file"),
+    ), cmd_simulate),
+    "bounds": ("integrability report for a kernel", _COMMON + _KERNEL, cmd_bounds),
+    "validate": ("run the acceptance checks", _COMMON + (
+        Option("profile", default="quick", help="check profile", choices=("quick", "full")),
+    ), cmd_validate),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="recipspec",
@@ -264,63 +263,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "complex Gaussian process")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("coeffs", help="coefficient table over a lag grid")
-    _add_common(p)
-    p.add_argument("--format", choices=("csv", "json"), default=None)
-    _add_kernel_opts(p)
-    p.add_argument("--tau-start", type=float, default=None)
-    p.add_argument("--tau-stop", type=float, default=None)
-    p.add_argument("--tau-step", type=float, default=None)
-    p.add_argument("--max-order", type=int, default=None)
-    p.set_defaults(func=cmd_coeffs)
-
-    p = sub.add_parser("spectrum", help="theoretical covariance spectrum")
-    _add_common(p)
-    p.add_argument("--format", choices=("csv", "json"), default=None)
-    _add_kernel_opts(p)
-    p.add_argument("--omega", default=None, help="value or comma list")
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--dtau", type=float, default=None)
-    p.add_argument("--half-points", type=int, default=None)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("simulate", help="simulate, invert, and compare spectra")
-    _add_common(p)
-    _add_kernel_opts(p)
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--fir-taps", type=int, default=None)
-    p.add_argument("--segment-len", type=int, default=None)
-    p.add_argument("--overlap", type=float, default=None)
-    p.add_argument("--window", default=None)
-    p.add_argument("--robust", action="store_const", const=True, default=None)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker count (results are independent of it)")
-    p.add_argument("--dump-samples", default=None,
-                   help="also dump the raw generated stream to this file")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("bounds", help="integrability report for a kernel")
-    _add_common(p)
-    _add_kernel_opts(p)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("validate", help="run the acceptance checks")
-    _add_common(p)
-    p.add_argument("--profile", choices=("quick", "full"), default=None)
-    p.set_defaults(func=cmd_validate)
-
+    for command, (help_text, options, _) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="KEY=VALUE defaults file; flags win")
+        for opt in options:
+            flag = "--" + opt.name.replace("_", "-")
+            text = (opt.help if opt.default is None or opt.type is bool
+                    else f"{opt.help} (default {opt.default})")
+            if opt.type is bool:
+                p.add_argument(flag, action="store_const", const=True, help=text)
+            else:
+                p.add_argument(flag, type=opt.type, choices=opt.choices or None, help=text)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        params = _resolve(args)
+        manifest = RunManifest(args.command, params, seed=params.get("seed"),
+                               package_version=__version__)
+        code = COMMANDS[args.command][2](params, manifest)
+        manifest.write(os.path.join(params["out_dir"], "manifest.json"))
+        return code
     except (DomainError, ConfigError, StatisticalQualityError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

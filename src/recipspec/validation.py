@@ -47,7 +47,6 @@ def _check(name):
             passed, details = fn()
             return CheckResult(name=name, passed=bool(passed),
                                runtime_s=time.monotonic() - t0, details=details)
-        run.check_name = name
         return run
     return wrap
 

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from recipspec import cli
 from recipspec.cli import main
 
 
@@ -27,6 +28,7 @@ class TestCoeffs:
         assert str(tmp_path / "coeffs.csv") in paths
         assert all(len(o["sha256"]) == 64 for o in manifest["outputs"])
         assert manifest["wall_time_s"] >= 0
+        assert manifest["seed"] is None and "seed" not in manifest["parameters"]
 
     def test_order_zero_only(self, tmp_path):
         rc = run(tmp_path, "coeffs", "--tau-start", "1.0", "--tau-stop", "2.0",
@@ -71,6 +73,15 @@ class TestSpectrum:
         assert meta0["dc_line_power"] == 0.0
         manifests = [n for n in names if n == "manifest.json"]
         assert len(manifests) == 1
+
+    def test_omegas_with_one_file_name_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = run(out, "spectrum", "--omega", "0.5,0.5000001", "--order", "4",
+                 "--dtau", "0.2", "--half-points", "32")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "spectrum_omega0.5.csv" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--omega", "nan"), ("--a", "inf"),
                                              ("--omega", "0.4,abc")])
@@ -182,7 +193,8 @@ class TestValidateWiring:
                                 "runtime_s": 0.0, "details": {}}]}
 
         monkeypatch.setattr(validation, "run_checks", fake_fail)
-        assert run(tmp_path, "validate", "--profile", "quick") == 1
+        assert run(tmp_path / "fail", "validate", "--profile", "quick") == 1
+        assert (tmp_path / "fail" / "manifest.json").exists()
 
 
 class TestConfigFile:
@@ -208,7 +220,10 @@ class TestConfigFile:
     @pytest.mark.parametrize("command, line", [
         ("spectrum", "omgea=3"), ("coeffs", "omega=1.0"), ("validate", "kernel=gaussian"),
         ("simulate", "robust=yes"), ("simulate", "robust=False"), ("coeffs", "a=abc"),
-        ("simulate", "format=json"), ("bounds", "format=json"), ("validate", "format=json")])
+        ("simulate", "format=json"), ("bounds", "format=json"), ("validate", "format=json"),
+        ("coeffs", "format=xml"), ("validate", "profile=fast"), ("coeffs", "kernel=LORENTZIAN"),
+        ("coeffs", "seed=1"), ("spectrum", "seed=1"), ("bounds", "seed=1"),
+        ("validate", "seed=1")])
     def test_bad_config_exits_2_before_writing(self, tmp_path, capsys, command, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
@@ -224,6 +239,43 @@ def test_format_flag_only_on_coeffs_and_spectrum(tmp_path, command):
         run(tmp_path, command, "--format", "json")
     assert exc.value.code == 2
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["coeffs", "spectrum", "bounds", "validate"])
+def test_seed_flag_only_on_simulate(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, "--seed", "1")
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
+def _sample(opt):
+    """A valid value other than the default: (flag arguments, config line, value)."""
+    flag = "--" + opt.name.replace("_", "-")
+    if opt.type is bool:
+        return [flag], f"{opt.name}=true", True
+    text = opt.choices[-1] if opt.choices else {float: "0.25", int: "3"}.get(opt.type, "x")
+    return [flag, text], f"{opt.name}={text}", opt.type(text)
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_flags_and_config_keys_resolve_alike(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args([command, "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+    def resolve(argv):
+        return cli._resolve(cli.build_parser().parse_args([command] + argv))
+
+    for opt in cli.COMMANDS[command][1]:
+        flag_args, line, value = _sample(opt)
+        cfg = tmp_path / f"{opt.name}.cfg"
+        cfg.write_text(line + "\n")
+        from_flag = resolve(flag_args)[opt.name]
+        from_config = resolve(["--config", str(cfg)])[opt.name]
+        assert from_flag == from_config == value != opt.default, opt.name
+        assert resolve([])[opt.name] == opt.default
 
 
 def test_tabulated_kernel_via_cli(tmp_path):

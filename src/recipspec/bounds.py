@@ -3,10 +3,11 @@
 The lag integral of |autocovariance| is majorized by the integral of
 (4/pi)|r| 3F2(1,1,1;3/2,3/2;|r|^2).  For the exponential kernel that majorant
 integrates in closed form to (28 zeta(3)/pi - 8 C)/a; for the Gaussian kernel
-it is evaluated numerically (about 4.53/sqrt(a)).  The integrand diverges
-logarithmically where |r| -> 1 (tau -> 0), which stays integrable; the sinc
-kernel decays only like 1/|tau| so the majorant test is inconclusive there,
-and the report says so - the condition is sufficient, not necessary.
+it is evaluated numerically (about 4.53/sqrt(a)), one 3F2 call per quadrature
+node set.  The integrand diverges logarithmically where |r| -> 1 (tau -> 0),
+which stays integrable; the sinc kernel decays only like 1/|tau| so the
+majorant test is inconclusive there, and the report says so - the condition is
+sufficient, not necessary.
 """
 
 from __future__ import annotations
@@ -27,30 +28,30 @@ from .specfun import hyp3f2_zero_balanced, math_constants
 LOG_SPLIT = 1e-3
 
 
-def l1_integrand(abs_r: float) -> float:
-    """(4/pi) |r| 3F2(1,1,1;3/2,3/2;|r|^2): the pointwise L1 majorant."""
-    if not 0.0 <= abs_r < 1.0:
-        raise DomainError(f"l1_integrand requires |r| < 1, got {abs_r}")
-    if abs_r == 0.0:
-        return 0.0
-    return (4.0 / math.pi) * abs_r * hyp3f2_zero_balanced(abs_r * abs_r)
+def l1_integrand(abs_r):
+    """(4/pi) |r| 3F2(1,1,1;3/2,3/2;|r|^2): the pointwise L1 majorant, float or array."""
+    r = np.asarray(abs_r, dtype=float)
+    if r.size and not (r.min() >= 0.0 and r.max() < 1.0):
+        raise DomainError(f"l1_integrand requires 0 <= |r| < 1, got {abs_r}")
+    out = (4.0 / math.pi) * r * hyp3f2_zero_balanced(r * r)
+    return float(out) if out.ndim == 0 else out
 
 
 def _gauss_legendre_panel(f, a: float, b: float, n: int = 200) -> float:
     x, w = np.polynomial.legendre.leggauss(n)
     xs = 0.5 * (b - a) * x + 0.5 * (a + b)
-    return 0.5 * (b - a) * float(np.sum(w * np.array([f(t) for t in xs])))
+    return 0.5 * (b - a) * float(np.sum(w * f(xs)))
 
 
 def _integrate_with_log_head(f, panels) -> float:
     """One-sided integral of f over [0, panels[-1]] with a log-aware head.
 
-    ``f`` must behave like c1 + c2 ln(tau) as tau -> 0; the head [0, LOG_SPLIT]
-    uses that model fitted on [LOG_SPLIT, 10*LOG_SPLIT], the rest is plain
-    Gauss-Legendre per panel.
+    ``f`` maps a tau array to an array and must behave like c1 + c2 ln(tau) as
+    tau -> 0; the head [0, LOG_SPLIT] uses that model fitted on [LOG_SPLIT,
+    10*LOG_SPLIT], the rest is plain Gauss-Legendre per panel.
     """
     ts = np.geomspace(LOG_SPLIT, 10 * LOG_SPLIT, 40)
-    ys = np.array([f(t) for t in ts])
+    ys = f(ts)
     design = np.column_stack([np.ones_like(ts), np.log(ts)])
     (c1, c2), *_ = np.linalg.lstsq(design, ys, rcond=None)
     eps = LOG_SPLIT
@@ -74,7 +75,7 @@ def lorentzian_l1_numeric(a: float) -> float:
     a = finite_positive(a, "decay rate")
 
     def f(tau):
-        return l1_integrand(math.exp(-a * tau))
+        return l1_integrand(np.exp(-a * tau))
 
     return 2.0 * _integrate_with_log_head(
         f, panels=[0.05 / a, 1.0 / a, 5.0 / a, 45.0 / a])
@@ -90,7 +91,7 @@ def gaussian_l1_bound(a: float) -> float:
     s = math.sqrt(a)
 
     def f(tau):
-        return l1_integrand(math.exp(-a * tau * tau))
+        return l1_integrand(np.exp(-a * tau * tau))
 
     return 2.0 * _integrate_with_log_head(
         f, panels=[0.05 / s, 1.0 / s, 7.0 / s])
@@ -105,10 +106,9 @@ def covariance_l1_numeric(kernel: CorrelationKernel, tau_max: float) -> float:
     """
 
     def f(tau):
-        z = abs(complex(kernel.eval(tau))) ** 2
-        if z == 0.0:
-            return 0.0
-        return -math.log1p(-z) / math.sqrt(z)
+        z = np.abs(kernel.eval(tau)) ** 2
+        out = np.zeros_like(z)
+        return np.divide(-np.log1p(-z), np.sqrt(z), out=out, where=z > 0.0)
 
     scale = tau_max / 45.0
     return 2.0 * _integrate_with_log_head(

@@ -24,11 +24,11 @@ def _as_float(value, name: str, error) -> float:
 
 
 def finite_nonnegative(value, name: str, error=DomainError) -> float:
-    """Return ``float(value)`` if it is finite and >= 0, else raise ``error``."""
+    """Return ``float(value)``, -0.0 as +0.0, if it is finite and >= 0, else raise ``error``."""
     x = _as_float(value, name, error)
     if not (math.isfinite(x) and x >= 0.0):
         raise error(f"{name} must be finite and >= 0, got {x!r}")
-    return x
+    return x + 0.0
 
 
 def finite_positive(value, name: str, error=DomainError) -> float:

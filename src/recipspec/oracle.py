@@ -227,8 +227,7 @@ def angular_struve_check(x: float, n_nodes: int = 1 << 20) -> float:
     single difference variable on equal grids; the result should equal the
     modified Struve function L0(x).
     """
-    if x < 0:
-        raise DomainError("x must be >= 0")
+    x = finite_nonnegative(x, "angular_struve_check x")
     u = 2.0 * math.pi * np.arange(n_nodes) / n_nodes
     total = 0.0
     chunk = 1 << 20

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import recipspec.bounds as bounds
-from recipspec.bounds import (gaussian_l1_bound, integrability_report,
-                              l1_integrand, lorentzian_l1_bound,
-                              lorentzian_l1_numeric)
+from recipspec.bounds import (covariance_l1_numeric, gaussian_l1_bound,
+                              integrability_report, l1_integrand,
+                              lorentzian_l1_bound, lorentzian_l1_numeric)
 from recipspec.errors import DomainError
 from recipspec.kernels import (DopplerLorentzian, FlatBand, GaussianKernel,
                                Lorentzian, Tabulated)
@@ -93,6 +93,40 @@ class TestGaussianBound:
     def test_domain(self):
         with pytest.raises(DomainError):
             gaussian_l1_bound(0.0)
+
+
+class TestArrayQuadrature:
+    @pytest.mark.parametrize("integral, node_sets", [
+        (lorentzian_l1_numeric, 5),  # head fit + 4 panels
+        (gaussian_l1_bound, 4),      # head fit + 3 panels
+    ])
+    def test_one_3f2_call_per_node_set(self, monkeypatch, integral, node_sets):
+        calls = []
+        orig = bounds.hyp3f2_zero_balanced
+
+        def counted(z):
+            calls.append(np.shape(z))
+            return orig(z)
+
+        monkeypatch.setattr(bounds, "hyp3f2_zero_balanced", counted)
+        integral(1.0)
+        assert calls == [(40,)] + [(200,)] * (node_sets - 1)
+
+    def test_array_integrand_matches_scalar(self):
+        r = np.linspace(0.0, 0.999, 50)
+        assert np.array_equal(l1_integrand(r), [l1_integrand(float(x)) for x in r])
+
+    @pytest.mark.parametrize("call, value", [
+        (lambda: lorentzian_l1_numeric(1.0), 3.3857977896229436),
+        (lambda: gaussian_l1_bound(1.0), 4.526712501092584),
+        (lambda: covariance_l1_numeric(Lorentzian(1.0), 45.0), 2.7725504580933307),
+        (lambda: covariance_l1_numeric(GaussianKernel(1.0), 7.0), 3.9185217053203045),
+    ], ids=["lorentzian_l1_numeric", "gaussian_l1_bound", "covariance_lorentzian",
+            "covariance_gaussian"])
+    def test_values_of_the_scalar_series_quadrature(self, call, value):
+        # reference values: the same quadrature with the 3F2 summed per node as
+        # a series to a 1e-12 relative tail bound
+        assert call() == pytest.approx(value, rel=1e-12)
 
 
 class TestReports:

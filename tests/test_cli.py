@@ -83,6 +83,19 @@ class TestSpectrum:
         assert err.startswith("error:") and "spectrum_omega0.5.csv" in err
         assert not out.exists()
 
+    def test_negative_zero_omega_is_zero(self, tmp_path, capsys):
+        # -0 and 0 are one omega: they collide on one file name, and -0 alone
+        # is written under the name of 0
+        both = tmp_path / "both"
+        assert run(both, "spectrum", "--omega=-0,0", "--order", "4",
+                   "--dtau", "0.2", "--half-points", "32") == 2
+        assert "spectrum_omega0.csv" in capsys.readouterr().err
+        assert not both.exists()
+        alone = tmp_path / "alone"
+        assert run(alone, "spectrum", "--omega=-0", "--order", "4",
+                   "--dtau", "0.2", "--half-points", "32") == 0
+        assert sorted(p.name for p in alone.glob("spectrum_*.csv")) == ["spectrum_omega0.csv"]
+
     @pytest.mark.parametrize("flag, value", [("--omega", "nan"), ("--a", "inf"),
                                              ("--omega", "0.4,abc")])
     def test_bad_number_exits_2(self, tmp_path, capsys, flag, value):

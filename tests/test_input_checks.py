@@ -10,21 +10,24 @@ import numpy as np
 import pytest
 
 from recipspec import spectrum
-from recipspec.bounds import gaussian_l1_bound, lorentzian_l1_bound, lorentzian_l1_numeric
+from recipspec.bounds import (gaussian_l1_bound, l1_integrand, lorentzian_l1_bound,
+                              lorentzian_l1_numeric)
 from recipspec.coefficients import omega_n_general, omega_n_over_grid
 from recipspec.errors import ConfigError, DomainError
 from recipspec.kernels import DopplerLorentzian, GaussianKernel, Lorentzian, Tabulated
-from recipspec.oracle import omega_n_quadrature, rss_montecarlo, rss_quadrature
+from recipspec.oracle import (angular_struve_check, omega_n_quadrature, rss_montecarlo,
+                              rss_quadrature)
 from recipspec.series import (OmegaRatio, asymptotic_floor, autocorrelation,
                               autocovariance, denormalize, floor_partial)
 from recipspec.simulator import SimulationConfig, invert
-from recipspec.specfun import gauss_2f1_regularized_grid
+from recipspec.specfun import gauss_2f1_regularized_grid, hyp3f2_zero_balanced, struve_l0
 from recipspec.spectrum import (TauGrid, make_window, theoretical_spectrum,
                                 welch_covariance_spectrum, welch_expected_spectrum)
 
 NONFINITE = [math.nan, math.inf, -math.inf]
 BAD_OMEGA = NONFINITE + [-0.5]
 BAD_SEGMENT_LEN = [0, 1, -4]
+BAD_UNIT_INTERVAL = [math.nan, math.inf, -0.1, 1.0]
 GRID = TauGrid(dtau=0.1, half_points=16)
 SAMPLES = np.ones(4, dtype=complex)
 
@@ -92,6 +95,10 @@ ENTRY_POINTS = {
                       DomainError, NONFINITE),
     "Tabulated.value": (lambda x: Tabulated([0.0, 1.0, 2.0], [1.0, x, 0.2]),
                         DomainError, NONFINITE),
+    "struve_l0.x": (struve_l0, DomainError, BAD_OMEGA),
+    "angular_struve_check.x": (angular_struve_check, DomainError, BAD_OMEGA),
+    "hyp3f2_zero_balanced.z": (hyp3f2_zero_balanced, DomainError, BAD_UNIT_INTERVAL),
+    "l1_integrand.abs_r": (l1_integrand, DomainError, BAD_UNIT_INTERVAL),
 }
 
 CASES = [pytest.param(call, error, x, id=f"{name}-{x}")
@@ -102,6 +109,18 @@ CASES = [pytest.param(call, error, x, id=f"{name}-{x}")
 def test_entry_point_rejects_bad_number(call, error, value):
     with pytest.raises(error):
         call(value)
+
+
+@pytest.mark.parametrize("call", [hyp3f2_zero_balanced, l1_integrand],
+                         ids=["hyp3f2_zero_balanced", "l1_integrand"])
+def test_array_entry_point_rejects_one_bad_lane(call):
+    lanes = np.array([0.0, 0.3, 0.6, 0.9])
+    call(lanes)
+    for i in range(lanes.size):
+        bad = lanes.copy()
+        bad[i] = math.nan
+        with pytest.raises(DomainError):
+            call(bad)
 
 
 @pytest.mark.parametrize("call", [

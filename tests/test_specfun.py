@@ -4,6 +4,7 @@ brute-force summation, classical identities)."""
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,6 +193,38 @@ class TestHyp3F2:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             hyp3f2_zero_balanced(1.0)
+
+    @pytest.mark.parametrize("z", [1e-8, 0.1, 0.5, 0.9, 0.99, 0.999])
+    def test_against_mpmath_series(self, z):
+        # independent oracle: (k!)^2 z^k / ((3/2)_k)^2 summed term by term at
+        # 22 digits until the geometric tail bound t z/(1-z) drops below 1e-20
+        with mp.workdps(22):
+            zz = mp.mpf(z)
+            term = total = mp.mpf(1)
+            k = 0
+            while term * zz / (1 - zz) > total * mp.mpf(10) ** -20:
+                term *= ((k + 1) / (k + mp.mpf(1.5))) ** 2 * zz
+                total += term
+                k += 1
+            ref = float(total)
+        assert hyp3f2_zero_balanced(z) == pytest.approx(ref, rel=1e-14)
+
+    @pytest.mark.parametrize("gap", [2e-6, 1e-12])
+    def test_near_one_against_mpmath(self, gap):
+        # mpmath's own 3F2 at 20 digits, at the double z the program receives;
+        # 2e-6 is the Gaussian head's smallest 1 - z
+        z = 1.0 - gap
+        with mp.workdps(20):
+            ref = float(mp.hyp3f2(1, 1, 1, 1.5, 1.5, mp.mpf(z)))
+        assert hyp3f2_zero_balanced(z) == pytest.approx(ref, rel=1e-14)
+
+    def test_array_equals_one_lane_calls(self):
+        z = np.concatenate([[0.0, 1e-300, 1e-8], np.linspace(0.01, 0.99, 37),
+                            1.0 - np.geomspace(1e-2, 2e-6, 20)])
+        got = hyp3f2_zero_balanced(z)
+        assert isinstance(hyp3f2_zero_balanced(0.5), float)
+        assert np.array_equal(got, [hyp3f2_zero_balanced(float(x)) for x in z])
+        assert np.array_equal(hyp3f2_zero_balanced(z.reshape(6, 10)).ravel(), got)
 
 
 class TestStruveL0:

@@ -11,20 +11,24 @@ values,
 
 with terms j > n/2 dropped because the (n/2-j)! factor sits on a negative
 integer factorial pole.  Odd orders vanish identically.  Low even orders have
-elementary closed forms for real r which this module also provides as an
+hand-written closed forms for real r which this module also provides as an
 independent cross-check path.
 
-Numerical notes: the double sum cancels increasingly violently as |r| -> 1
-and n grows; in double precision the relative accuracy of Omega_n degrades
-past roughly n = 14 for |r| > 0.95.  Dividing by n! in the series does not
-hide this at larger omega (README, "High orders"); the tests pin accuracy
-exactly where the acceptance tolerances demand it.  As r -> 0 the sum's terms
-cancel to the limit omega_limit(n), so below SMALL_R_THRESHOLD Omega_n is
-evaluated from its Taylor polynomial in (r, conj(r)), whose coefficients are
-summed in exact rationals and rounded once.
+Every Omega_n value comes from omega_n_over_grid over an array of r, which
+sends each lane down exactly one of three paths:
 
-Every Omega_n value comes from one path, omega_n_over_grid over an array of
-r; omega_n_general is its one-lane case.
+* |r| < SMALL_R_THRESHOLD: the sum's terms cancel to the limit omega_limit(n),
+  so Omega_n is the Taylor polynomial in (r, conj(r)), whose coefficients are
+  summed in exact rationals and rounded once;
+* real r with |r| >= CLOSED_FORM_THRESHOLD: the closed form
+  Omega_n = A_n(r) + B_n(r) ln(1-r^2), derived per call in exact integers
+  (see _closed_form_terms); it costs a fixed number of flops whatever r is,
+  and each lane's value depends on that lane alone;
+* every other lane, complex r included: the double sum.  It cancels
+  increasingly violently as |r| -> 1 and n grows, so complex r near |r| = 1
+  at high orders is not accurate (README, "High orders").
+
+omega_n_general is the one-lane case of omega_n_over_grid.
 """
 
 from __future__ import annotations
@@ -45,6 +49,18 @@ from .specfun import gauss_2f1_regularized_grid
 SMALL_R_THRESHOLD = 1e-4
 #: total degree in (r, conj(r)) of that polynomial
 SMALL_R_DEGREE = 4
+#: real lanes with |r| at or above this take the closed form instead of the
+#: double sum.  Against a 60-digit mpmath double sum (even n <= 30, real r on
+#: +-[0.2, 0.999]) the closed form is within 5e-14 on |r| >= 0.3; the double
+#: sum is within 1.5e-13 below 0.3 but already 1.4 off at n = 10, r = 0.9
+#: (README, "High orders").  The one value serves every order up to 30.
+CLOSED_FORM_THRESHOLD = 0.3
+#: in the closed form, ln(1-x) + sum_{k<=K} x^k/k (x = r^2) is summed as its
+#: Taylor tail below this x, with this many terms (x^54 / (1-x) < 2^-53), and
+#: from the logarithm at and above it, where the two parts cancel less: that
+#: costs Omega_n under 1e-14 relative just above r = 0.7071 (n <= 30)
+_LOG_TAIL_MAX_X = 0.5
+_LOG_TAIL_TERMS = 54
 
 
 def omega_limit(n: int) -> float:
@@ -133,6 +149,102 @@ def _taylor(n: int, r):
     return sum(v * r ** i * rs ** e for v, i, e in _taylor_terms(n))
 
 
+def _closed_form_terms(n: int):
+    """Exact coefficients of Omega_n for real r, as (beta, b) with h = n/2:
+
+        Omega_n = sum_{i=1..h} beta[i-1] / (1+r)^i
+                  + b r^-(h+1) [ln(1-r^2) + sum_{k=1..h//2} r^(2k)/k].
+
+    Euler's transformation 2F1reg(a,b;c;z) = (1-z)^(c-a-b) 2F1reg(c-a,c-b;c;z)
+    has c-a-b = -h for every (k, j) term, and 2F1reg(1+j-k, 1+j-h; c; z) is a
+    polynomial except at k = j = h.  There 2F1reg(1,1;h+2;z) is elementary by
+    the Beta integral, (1/h!) int_0^1 (1-t)^h / (1-zt) dt, which gives the
+    logarithm with b = -(-1)^h n!/h! and a rational part.  So
+    Omega_n = Q(r) / (r^(h-1) (1-r^2)^h) + b r^-(h+1) ln(1-r^2), where Q has
+    rational coefficients; they are kept as integers over the common
+    denominator D = (3h+1)!.  Then:
+
+    * (1-r)^h divides Q exactly (asserted), since Omega_n has no pole at r = 1;
+    * the quotient over r^(h-1) (1+r)^h has no polynomial part, and its part
+      in 1/r^i is asserted to be minus the one of b r^-(h+1) ln(1-r^2), as
+      Omega_n is finite at r = 0; the two are merged into the bracket above;
+    * its part in 1/(1+r)^i is beta, from the Taylor expansion at r = -1.
+
+    Each beta is rounded once from its exact value.
+    """
+    h = n // 2
+    den_all = math.factorial(3 * h + 1)
+    fac_n = math.factorial(n)
+    b = -(-1) ** h * fac_n // math.factorial(h)
+    # coefficients of r^i of r^(h-1) (1-r^2)^h times the rational part, times den_all
+    q = [0] * max(n + h - 1, 0)
+    for k in range(n + 1):
+        for j in range(min(k, h) + 1):
+            if k == j == h:
+                continue
+            # Euler-transformed parameters; one of them is <= 0 and ends the series
+            ea, eb, c, p = 1 + j - k, 1 + j - h, 2 + 2 * j - k, 2 * j - k + 1
+            # 1/Gamma(c+m) vanishes for m < 1 - c; m < h, so the factorials
+            # of den have arguments summing to h+2m+1 < 3h and divide den_all
+            for m in range(max(0, 1 - c), min(-x for x in (ea, eb) if x <= 0) + 1):
+                num = (-1) ** (k + h) * fac_n * _rising(ea, m) * _rising(eb, m)
+                den = (math.factorial(h - j) * math.factorial(k - j) * math.factorial(m)
+                       * math.factorial(c + m - 1))
+                q[2 * m + p + h - 1] += den_all * num // den
+    # k = j = h: n!/h! r^(h+1) sum_{i<h} (-(1-r^2))^i / ((h-i) r^(2i+2))
+    for i in range(h):
+        lead = den_all * fac_n // (math.factorial(h) * (h - i))
+        for l in range(i + 1):
+            q[2 * (h - 1 - i + l)] += (-1) ** (i + l) * math.comb(i, l) * lead
+    for _ in range(h):  # q / (1 - r): running sums, remainder q(1)
+        for i in range(1, len(q)):
+            q[i] += q[i - 1]
+        assert q.pop() == 0, f"(1-r)^{h} does not divide the numerator of Omega_{n}"
+    # Taylor coefficients of q / (1+r)^h at r = 0: the part in 1/r^(h-1-i)
+    for i in range(h - 1):
+        e = sum(q[l] * (-1) ** (i - l) * math.comb(h + i - l - 1, i - l) for l in range(i + 1))
+        assert (e * (i // 2 + 1) == b * den_all if i % 2 == 0 else e == 0), \
+            f"Omega_{n} is not finite at r = 0"
+    # Taylor coefficients at s = 1 + r of q(s-1) / (s-1)^(h-1): the part in 1/s^(h-i)
+    for i in range(len(q)):
+        for l in range(len(q) - 2, i - 1, -1):
+            q[l] -= q[l + 1]
+    inv = [(-1) ** (h - 1) * math.comb(h + i - 2, i) if h > 1 else int(i == 0) for i in range(h)]
+    beta = [sum(q[l] * inv[h - i - l] for l in range(h - i + 1)) / den_all
+            for i in range(1, h + 1)]
+    return beta, b
+
+
+def _closed_form(n: int, r: np.ndarray) -> np.ndarray:
+    """Omega_n over a float array r with every |r| in (0, 1), from :func:`_closed_form_terms`.
+
+    Every step is elementwise, so a lane's value does not depend on the other lanes.
+    The bracket ln(1-x) + sum_{k<=K} x^k/k (x = r^2, K = h//2) equals
+    -x^(K+1) sum_{m>=0} x^m/(K+1+m); below _LOG_TAIL_MAX_X that tail is summed
+    directly, because the logarithm and the polynomial cancel there.
+    """
+    h = n // 2
+    beta, b = _closed_form_terms(n)
+    y = 1.0 / (1.0 + r)
+    out = np.zeros_like(r)
+    for c in reversed(beta):
+        out = (out + c) * y
+    x = r * r
+    tail = x < _LOG_TAIL_MAX_X
+    xs = x[tail]
+    g = np.zeros_like(xs)
+    for m in reversed(range(_LOG_TAIL_TERMS)):
+        g = g * xs + 1.0 / (h // 2 + 1 + m)
+    # b r^-(h+1) x^(K+1) = b r^(2K+1-h): r for even h, 1 for odd h
+    out[tail] -= b * (r[tail] if h % 2 == 0 else 1.0) * g
+    rl, xl = r[~tail], x[~tail]
+    poly = np.zeros_like(xl)
+    for k in reversed(range(1, h // 2 + 1)):
+        poly = (poly + 1.0 / k) * xl
+    out[~tail] += b * (np.log((1.0 - rl) * (1.0 + rl)) + poly) / rl ** (h + 1)
+    return out
+
+
 def omega_n_general(n: int, r: complex) -> complex:
     """Omega_n for arbitrary complex r with |r| < 1.
 
@@ -201,14 +313,19 @@ def omega_prime(n: int, r: complex) -> complex:
 def omega_n_over_grid(n: int, r: np.ndarray) -> np.ndarray:
     """Omega_n evaluated over an array of correlation values, the one Omega_n path.
 
-    Lanes with |r| >= SMALL_R_THRESHOLD take the double sum.  Its grid 2F1
-    stops at the whole grid's term count rather than each lane's, so such a
-    lane agrees with the same r evaluated alone (as :func:`omega_n_general`
-    does) to about 1e-8 relative, not bitwise.  Lanes below the threshold,
-    where the sum's terms cancel to the limit, take the exact Taylor
-    polynomial in (r, conj(r)) of degree SMALL_R_DEGREE, which does not
-    depend on the other lanes; r = 0 gives omega_limit(n).  Odd n gives
-    zeros.
+    Each lane takes exactly one of three paths (module docstring):
+
+    * |r| < SMALL_R_THRESHOLD: the exact Taylor polynomial in (r, conj(r)) of
+      degree SMALL_R_DEGREE; r = 0 gives omega_limit(n);
+    * real r (zero imaginary part) with |r| >= CLOSED_FORM_THRESHOLD: the
+      closed form of :func:`_closed_form`;
+    * the rest, complex r included: the double sum.  Its grid 2F1 stops at the
+      whole grid's term count rather than each lane's, so such a lane agrees
+      with the same r evaluated alone (as :func:`omega_n_general` does) to
+      about 1e-8 relative, not bitwise.
+
+    The first two paths work lane by lane, so there a lane's value is bitwise
+    the same alone as inside any grid.  Odd n gives zeros.
     """
     if n < 0:
         raise DomainError("order must be nonnegative")
@@ -220,8 +337,12 @@ def omega_n_over_grid(n: int, r: np.ndarray) -> np.ndarray:
         return np.zeros(r.shape, dtype=complex)
     out = np.empty(r.shape, dtype=complex)
     small = mag < SMALL_R_THRESHOLD
-    if np.any(~small):
-        out[~small] = _double_sum(n, r[~small])
+    closed = (mag >= CLOSED_FORM_THRESHOLD) & (r.imag == 0.0)
+    rest = ~(small | closed)
+    if np.any(rest):
+        out[rest] = _double_sum(n, r[rest])
+    if np.any(closed):
+        out[closed] = _closed_form(n, r.real[closed])
     if np.any(small):
         out[small] = _taylor(n, r[small])
     return out

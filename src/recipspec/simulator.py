@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter, oaconvolve
 
 from .errors import (ConfigError, DomainError, StatisticalQualityError,
                      finite_nonnegative, finite_positive)
@@ -78,6 +77,8 @@ def _circular_normal(rng, n: int) -> np.ndarray:
 
 
 def _generate_ar1(config: SimulationConfig) -> np.ndarray:
+    from scipy.signal import lfilter  # imported here: it costs most of `import recipspec`
+
     a = config.kernel.a
     phi = math.exp(-a * config.dt)
     drive = math.sqrt(1.0 - phi * phi)
@@ -109,6 +110,8 @@ def design_flat_fir(taps: int, dt: float) -> np.ndarray:
 
 
 def _generate_flat(config: SimulationConfig) -> np.ndarray:
+    from scipy.signal import oaconvolve
+
     h = design_flat_fir(config.fir_taps, config.dt)
     total = config.n_samples + config.fir_taps  # head discarded as warm-up
     noise = np.empty(total, dtype=complex)

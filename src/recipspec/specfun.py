@@ -9,6 +9,8 @@ the callers only ever need:
   an array of z; the scalar function is its one-lane case,
 * the zero-balanced 3F2(1,1,1; 3/2,3/2; z) over an array of z, by a fixed
   64-node rule on an integral representation (no series, no term budget),
+  whose nodes are computed at each call rather than at import, so paths
+  that never need the 3F2 never pay for them,
 * the modified Struve function L0,
 * a couple of classical constants.
 
@@ -33,8 +35,8 @@ from .errors import AccuracyError, DomainError, finite_nonnegative
 REL_TOL = 1e-12
 MAX_TERMS = 10 ** 6
 
-#: the 3F2's Gauss-Legendre rule on [-1, 1]: 64 nodes and weights
-_HYP3F2_NODES, _HYP3F2_WEIGHTS = np.polynomial.legendre.leggauss(64)
+#: nodes of the 3F2's Gauss-Legendre rule on [-1, 1]
+_HYP3F2_NODES = 64
 
 #: terms per block of the grid 2F1 series: the first block, and the cap on
 #: the doubling after it.  Each block costs a fixed number of numpy calls, and
@@ -198,15 +200,16 @@ def hyp3f2_zero_balanced(z):
     z = np.asarray(z, dtype=float)
     if z.size and not (z.min() >= 0.0 and z.max() < 1.0):
         raise DomainError(f"hyp3f2_zero_balanced requires z in [0,1), got {z}")
+    nodes, weights = np.polynomial.legendre.leggauss(_HYP3F2_NODES)
     pos = z > 0.0
     zp = np.where(pos, z, 0.5)[..., None]
     rz, rq = np.sqrt(zp), np.sqrt(1.0 - zp)
     half = 0.5 * np.arcsinh(rz / rq)
-    v = half * (_HYP3F2_NODES + 1.0)
+    v = half * (nodes + 1.0)
     cos_t = rq / rz * np.sinh(v)
     y = rz * np.sqrt((1.0 - cos_t) * (1.0 + cos_t))
     f = np.arctan2(y, rq * np.cosh(v)) / y
-    value = half[..., 0] * np.sum(f * _HYP3F2_WEIGHTS, axis=-1) / rz[..., 0]
+    value = half[..., 0] * np.sum(f * weights, axis=-1) / rz[..., 0]
     out = np.where(pos, value, 1.0)
     return float(out) if out.ndim == 0 else out
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -51,6 +53,17 @@ class TestCoeffs:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "coeffs.csv").exists()
+
+    def test_does_not_import_scipy_signal(self, tmp_path):
+        # only the simulators use scipy.signal, and importing it costs most of
+        # `import recipspec.cli`; a fresh interpreter shows what coeffs loads
+        code = ("import sys; from recipspec.cli import main; "
+                f"rc = main(['coeffs', '--max-order', '4', '--out-dir', {str(tmp_path)!r}]); "
+                "print(rc, 'scipy.signal' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120, check=True).stdout
+        assert out.split() == ["0", "False"]
 
     def test_json_format(self, tmp_path):
         rc = run(tmp_path, "coeffs", "--tau-start", "1.0", "--tau-stop", "1.0",

@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recipspec.coefficients import (SMALL_R_THRESHOLD, _taylor, build_table,
-                                    omega0_closed, omega2_closed, omega_bound,
-                                    omega_limit, omega_n_closed_real,
-                                    omega_n_general, omega_n_over_grid,
-                                    omega_prime)
+from recipspec.coefficients import (CLOSED_FORM_THRESHOLD, SMALL_R_THRESHOLD,
+                                    _closed_form, _closed_form_terms, _double_sum,
+                                    _taylor, build_table, omega0_closed, omega2_closed,
+                                    omega_bound, omega_limit, omega_n_closed_real,
+                                    omega_n_general, omega_n_over_grid, omega_prime)
 from recipspec.errors import DomainError, UnsupportedOrderError
 from recipspec.kernels import DopplerLorentzian, FlatBand, Lorentzian
-from recipspec.specfun import gauss_2f1_regularized, gauss_2f1_regularized_grid
+from recipspec.specfun import REL_TOL, gauss_2f1_regularized, gauss_2f1_regularized_grid
 
 
 class TestLimits:
@@ -171,24 +171,73 @@ class TestSmallRPath:
             assert diff < 0.01 * max(1.0, abs(omega_limit(n)))
 
 
-def _mp_omega(n: int, r: complex) -> complex:
-    """Omega_n from the double sum at 100 digits in mpmath, sharing no code with recipspec."""
+class TestClosedFormPath:
+    def test_exact_terms_for_every_even_order_to_40(self):
+        # _closed_form_terms asserts that (1-r)^(n/2) divides its numerator and
+        # that its 1/r^i part cancels the logarithm's
+        for n in range(0, 41, 2):
+            h = n // 2
+            beta, b = _closed_form_terms(n)
+            assert len(beta) == h
+            assert b == -(-1) ** h * math.factorial(n) // math.factorial(h)
+
+    def test_terms_are_the_hand_written_forms(self):
+        # omega_n_closed_real: 2 ln / r^2 + 4/(1+r), ..., 120 ln / r^4 + 320/(1+r)^3 + ...
+        assert _closed_form_terms(0) == ([], -1)
+        assert _closed_form_terms(2) == ([4.0], 2)
+        assert _closed_form_terms(4) == ([0.0, -24.0], -12)
+        assert _closed_form_terms(6) == ([80.0, 80.0, 320.0], 120)
+
+    @pytest.mark.parametrize("n", range(0, 31, 2))
+    def test_agrees_with_the_double_sum_across_the_crossover(self, n):
+        t = CLOSED_FORM_THRESHOLD
+        r = np.array([s * t * f for s in (1.0, -1.0) for f in (0.9, 0.97, 1.0, 1.03, 1.1)])
+        closed, direct = _closed_form(n, r), _double_sum(n, r.astype(complex))
+        # the double sum's 2F1 series stop at a relative tail of REL_TOL, and
+        # above the threshold it loses digits: 2e-12 at n = 30 and 1.1 t
+        np.testing.assert_allclose(closed, direct.real, rtol=5 * REL_TOL, atol=0)
+        # and the one path picks each side of the threshold
+        for x in r:
+            want = _closed_form(n, np.array([x])) if abs(x) >= t else _double_sum(n, np.array([x + 0j]))
+            assert omega_n_general(n, x) == complex(want[0])
+
+    @given(st.lists(st.one_of(st.floats(-0.999, 0.999),
+                              # complex lanes take the double sum: kept off |r| -> 1
+                              st.builds(cmath.rect, st.floats(0.0, 0.9),
+                                        st.floats(-math.pi, math.pi))),
+                    min_size=1, max_size=40),
+           st.sampled_from(range(0, 21, 2)))
+    @settings(max_examples=40, deadline=None)
+    def test_closed_form_lane_is_independent_of_the_grid(self, lanes, n):
+        r = np.array(lanes, dtype=complex)
+        grid = omega_n_over_grid(n, r)
+        for x, got in zip(r, grid):
+            if x.imag == 0.0 and abs(x) >= CLOSED_FORM_THRESHOLD:
+                assert got == omega_n_over_grid(n, np.array([x]))[0], x
+                assert got.imag == 0.0
+
+
+def _mp_reg2f1(a: int, b: int, c: int, z):
+    """2F1(a, b; c; z) / Gamma(c) in mpmath for integers a >= 1, b, c and 0 <= z < 1."""
+    if c < 1:  # the first 1-c terms sit on poles of 1/Gamma (DLMF 15.2.3_5)
+        s = 1 - c
+        return mp.rf(a, s) * mp.rf(b, s) * z ** s * _mp_reg2f1(a + s, b + s, 1 + s, z)
+    if z < 0.96:  # mpmath's fixed-point Taylor summator
+        return mp.mp.hypsum(2, 1, ("Z", "Z", "Z"), [a, b, c], z,
+                            maxterms=10 ** 5) / mp.factorial(c - 1)
+    return mp.hyp2f1(a, b, c, z) / mp.factorial(c - 1)  # mpmath's transformations at z -> 1
+
+
+def _mp_omega(n: int, r: complex, dps: int = 100) -> complex:
+    """Omega_n from the double sum at ``dps`` digits in mpmath, sharing no code with recipspec."""
     h = n // 2
-    with mp.workdps(100):
+    with mp.workdps(dps):
         r = mp.mpc(r.real, r.imag)
         z, rs = abs(r) ** 2, mp.conj(r)
         total = mp.mpc(0)
         for k in range(n + 1):
             for j in range(min(k, h) + 1):
-                a, b, c = 1 + j, 1 + j - k + h, 2 + 2 * j - k
-                f, m = mp.mpf(0), 0
-                while True:
-                    t = mp.rf(a, m) * mp.rf(b, m) / mp.factorial(m) * mp.rgamma(c + m) * z ** m
-                    f += t
-                    # past the poles of 1/Gamma: stop once terminated or converged
-                    if m >= 1 - c and (t == 0 if b <= 0 else abs(t) < mp.eps * abs(f)):
-                        break
-                    m += 1
+                f = _mp_reg2f1(1 + j, 1 + j - k + h, 2 + 2 * j - k, z)
                 comb = (-1) ** k * mp.factorial(n) / (mp.factorial(h - j) * mp.factorial(k - j))
                 total += comb * f * rs ** (2 * j - k + 1)
         return complex((-1) ** h * total)
@@ -205,6 +254,15 @@ class TestMpmathReference:
                 got, ref = omega_n_general(n, r), _mp_omega(n, r)
                 # one rounding of Omega_n ~ lim limits the centered error near lim
                 assert abs(got - ref) <= 1e-11 * abs(ref - lim) + 1e-15 * abs(lim), (mag, phase)
+
+    @pytest.mark.parametrize("n", range(0, 21, 2))
+    def test_real_r_near_one(self, n):
+        # the closed-form path against a 50-digit double sum, both signs; each
+        # |r| near 1 costs seconds of reference time, so the set stays small
+        for r in (0.3, -0.3, 0.5, -0.5, -0.7, 0.9, -0.95, 0.975, -0.999, 0.999):
+            got, ref = omega_n_general(n, r), _mp_omega(n, r, dps=50)
+            assert got.imag == 0.0
+            assert abs(got.real - ref.real) <= 3e-13 * abs(ref.real), r
 
 
 class TestGridEvaluation:

@@ -4,15 +4,17 @@ Each call site raises its own exception class: ConfigError for
 SimulationConfig, DomainError everywhere else.
 """
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recipspec import spectrum
 from recipspec.bounds import (gaussian_l1_bound, l1_integrand, lorentzian_l1_bound,
                               lorentzian_l1_numeric)
-from recipspec.coefficients import omega_n_general, omega_n_over_grid
+from recipspec.coefficients import build_table, omega_n_general, omega_n_over_grid
 from recipspec.errors import ConfigError, DomainError
 from recipspec.kernels import DopplerLorentzian, GaussianKernel, Lorentzian, Tabulated
 from recipspec.oracle import (angular_struve_check, omega_n_quadrature, rss_montecarlo,
@@ -132,3 +134,33 @@ def test_spectrum_checks_run_before_the_table(call, monkeypatch):
     monkeypatch.setattr(spectrum, "build_table", refuse)
     with pytest.raises(DomainError):
         call()
+
+
+#: a finite lane: real, or complex with |r| < 1
+_FINITE_LANE = st.one_of(st.floats(-0.99, 0.99),
+                         st.builds(cmath.rect, st.floats(0.0, 0.99), st.floats(-math.pi, math.pi)))
+#: a non-finite lane: NaN or +-inf, alone or as either part of a complex value
+_NONFINITE_LANE = st.sampled_from(NONFINITE).flatmap(lambda bad: st.sampled_from(
+    [bad, complex(bad, 0.0), complex(0.5, bad), complex(bad, 0.5), complex(bad, bad)]))
+
+
+@given(st.lists(_FINITE_LANE, min_size=1, max_size=12), _NONFINITE_LANE, st.data())
+@settings(max_examples=60, deadline=None)
+def test_nonfinite_lane_anywhere_is_rejected(lanes, bad, data):
+    """One non-finite lane among real and complex ones: no path computes with it."""
+    pos = data.draw(st.integers(0, len(lanes)))
+    lanes.insert(pos, bad)
+    r = np.array(lanes, dtype=complex)
+    with pytest.raises(DomainError):
+        omega_n_over_grid(20, r)
+    with pytest.raises(DomainError):
+        autocorrelation(r, 0.5, 4)
+    # as the values of a tabulated kernel (r(0) = 1 leads), then as one of the lags
+    tau = np.arange(len(lanes) + 1, dtype=float)
+    with pytest.raises(DomainError):
+        build_table(Tabulated(tau, np.concatenate([[1.0], r])), tau[1:] - 0.5, 4)
+    finite = Tabulated(tau, np.concatenate([[1.0], np.full(len(lanes), 0.5)]))
+    lags = tau[1:] - 0.5
+    lags[pos] = data.draw(st.sampled_from(NONFINITE))
+    with pytest.raises(DomainError):
+        build_table(finite, lags, 4)

@@ -223,7 +223,7 @@ def _closed_form(n: int, r: np.ndarray) -> np.ndarray:
     -x^(K+1) sum_{m>=0} x^m/(K+1+m); below _LOG_TAIL_MAX_X that tail is summed
     directly, because the logarithm and the polynomial cancel there.
     """
-    h = n // 2
+    h, kmax = n // 2, n // 4  # K of the bracket: its polynomial ends at x^kmax
     beta, b = _closed_form_terms(n)
     y = 1.0 / (1.0 + r)
     out = np.zeros_like(r)
@@ -234,12 +234,12 @@ def _closed_form(n: int, r: np.ndarray) -> np.ndarray:
     xs = x[tail]
     g = np.zeros_like(xs)
     for m in reversed(range(_LOG_TAIL_TERMS)):
-        g = g * xs + 1.0 / (h // 2 + 1 + m)
+        g = g * xs + 1.0 / (kmax + 1 + m)
     # b r^-(h+1) x^(K+1) = b r^(2K+1-h): r for even h, 1 for odd h
     out[tail] -= b * (r[tail] if h % 2 == 0 else 1.0) * g
     rl, xl = r[~tail], x[~tail]
     poly = np.zeros_like(xl)
-    for k in reversed(range(1, h // 2 + 1)):
+    for k in reversed(range(1, kmax + 1)):
         poly = (poly + 1.0 / k) * xl
     out[~tail] += b * (np.log((1.0 - rl) * (1.0 + rl)) + poly) / rl ** (h + 1)
     return out

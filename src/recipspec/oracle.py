@@ -8,10 +8,15 @@ Two routes evaluate the same object:
 * direct Monte-Carlo sampling of the defining expectation over the joint
   Gaussian of the two time points.
 
-The quadrature exploits the fact that on equal angular grids the coupling
-factor depends only on q1 - q2, which turns the double angular sum into a
-cyclic correlation; the result is numerically identical to the plain tensor
-rule (asserted in tests) at a fraction of the cost.
+On equal angular grids the coupling factor depends only on the difference
+theta = q1 - q2, so each rule is a sum over theta of a radial weight plane M
+against an angular sum.  For Omega_n the polynomial factor separates:
+(v1 cos q1 + v2 cos q2)^n expands binomially, its angular sums are scalars
+kappa_p(theta), and each angle costs one exponential plane and one small
+matrix product instead of n + 1 dense correlations.  The absolute-value and
+Struve checks sum half the circle twice (cos theta is even about pi), and
+the former sums one triangle of its symmetric radial plane.  Tests hold every
+rule to its literal tensor loop; the two orders agree to rounding.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, finite_nonnegative
+from .errors import AccuracyError, DomainError, finite_nonnegative, finite_positive
 
 
 @dataclass(frozen=True)
@@ -35,10 +40,13 @@ class QuadratureSpec:
     target_abs_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.angular_nodes < 8 or self.radial_nodes < 8:
-            raise DomainError("node counts must be >= 8")
-        if self.v_max < 8.0:
-            raise DomainError("v_max must be >= 8")
+        for name in ("angular_nodes", "radial_nodes"):
+            count = getattr(self, name)
+            if not isinstance(count, (int, np.integer)) or count < 8:
+                raise DomainError(f"{name} must be an integer >= 8, got {count!r}")
+        if finite_positive(self.v_max, "v_max") < 8.0:
+            raise DomainError(f"v_max must be >= 8, got {self.v_max!r}")
+        finite_positive(self.target_abs_tol, "target_abs_tol")
 
     def doubled(self) -> "QuadratureSpec":
         return QuadratureSpec(2 * self.angular_nodes, 2 * self.radial_nodes,
@@ -96,48 +104,73 @@ def _radial_rule(spec: QuadratureSpec):
     return v, wv
 
 
-def _angular_correlation_sum(r: complex, spec: QuadratureSpec, phase_arrays):
-    """Core cyclic-correlation reduction shared by the integral evaluators.
+#: bytes of radial-plane data one block of angles may hold
+_BLOCK_BYTES = 1 << 21
 
-    ``phase_arrays`` is a list of (coeff, A[q,v], B[q,v]) triples; for each
-    angular difference d the inner angular sum is sum_q A[q,:] B[q-d,:],
-    evaluated as a matrix product, then reduced over the radial plane with
-    the Gaussian weight and the q1-q2 coupling factor.
+
+def _weight_planes(r: complex, spec: QuadratureSpec, v, wv):
+    """Yield (d, M) per block of angular differences theta_d = d * 2 pi / N.
+
+    M[b] = G * exp(-|r|/2 v1 v2 cos(theta_d[b] + arg r)) is the real radial
+    weight plane of one angle: G holds the exp(-(v1^2 + v2^2)/4) decay and
+    the Gauss-Legendre weights.  Blocks hold at most ``_BLOCK_BYTES``.
     """
-    absr = abs(r)
     phi = cmath.phase(r) if r != 0 else 0.0
     nang = spec.angular_nodes
-    v, wv = _radial_rule(spec)
     dq = 2.0 * math.pi / nang
     gauss = np.exp(-0.25 * (v[:, None] ** 2 + v[None, :] ** 2)) * (wv[:, None] * wv[None, :])
-    coupling_scale = 0.5 * absr * v[:, None] * v[None, :]
-    total = 0.0 + 0.0j
-    for d in range(nang):
-        theta = d * dq
-        plane = np.zeros_like(gauss, dtype=complex)
-        for coeff, a_arr, b_arr in phase_arrays:
-            plane += coeff * (a_arr.T @ np.roll(b_arr, d, axis=0))
-        coupling = np.exp(-coupling_scale * math.cos(theta + phi))
-        total += cmath.exp(1j * theta) * np.sum(gauss * coupling * plane)
-    return -total * dq * dq / (4.0 * math.pi ** 2)
+    coupling_scale = 0.5 * abs(r) * v[:, None] * v[None, :]
+    step = max(1, _BLOCK_BYTES // gauss.nbytes)
+    for lo in range(0, nang, step):
+        d = np.arange(lo, min(lo + step, nang))
+        cos_t = np.array([math.cos(k * dq + phi) for k in d])
+        yield d, gauss * np.exp(-coupling_scale * cos_t[:, None, None])
 
 
 def _rss_single(r: complex, omega: float, spec: QuadratureSpec) -> complex:
+    """The rule's sum: for each angle, sum_q e[q, v1] e[q - d, v2] against M_d."""
     nang = spec.angular_nodes
-    v, _ = _radial_rule(spec)
+    v, wv = _radial_rule(spec)
+    dq = 2.0 * math.pi / nang
     q = 2.0 * math.pi * np.arange(nang) / nang
     e = np.exp(1j * omega * v[None, :] * np.cos(q)[:, None])  # [q, v]
-    return _angular_correlation_sum(r, spec, [(1.0, e, e)])
+    total = 0.0 + 0.0j
+    for d, planes in _weight_planes(r, spec, v, wv):
+        for k, plane in zip(d, planes):
+            total += cmath.exp(1j * (k * dq)) * np.sum(plane * (e.T @ np.roll(e, k, axis=0)))
+    return -total * dq * dq / (4.0 * math.pi ** 2)
 
 
 def _omega_n_single(n: int, r: complex, spec: QuadratureSpec) -> complex:
+    """The rule's sum with the polynomial factor separated in v and in angle.
+
+    v1 c1 + v2 c2 = ((v1 + v2)(c1 + c2) + (v1 - v2)(c1 - c2)) / 2 with
+    c1 = cos q, c2 = cos(q - theta_d), so the binomial expansion of its n-th
+    power leaves, per angle, the scalars kappa[d, p] = sum_q (c1 + c2)^p
+    (c1 - c2)^(n-p) against fixed planes (v1 + v2)^p (v1 - v2)^(n-p).  The
+    sum and difference basis keeps the terms from cancelling: c1 + c2 and
+    c1 - c2 are 2 cos(q - theta_d/2) cos(theta_d/2) and -2 sin(q - theta_d/2)
+    sin(theta_d/2), so for even n the odd-p sums over q vanish and every other
+    term is nonnegative.
+    """
     nang = spec.angular_nodes
-    v, _ = _radial_rule(spec)
-    q = 2.0 * math.pi * np.arange(nang) / nang
-    vcos = v[None, :] * np.cos(q)[:, None]  # [q, v]
-    powers = [vcos ** p for p in range(n + 1)]
-    triples = [(math.comb(n, p), powers[p], powers[n - p]) for p in range(n + 1)]
-    return (1j) ** n * _angular_correlation_sum(r, spec, triples)
+    v, wv = _radial_rule(spec)
+    dq = 2.0 * math.pi / nang
+    idx = np.arange(nang)
+    c1 = np.cos(2.0 * math.pi * idx / nang)
+    c2 = c1[(idx[None, :] - idx[:, None]) % nang]  # [d, q]: cos(q - theta_d)
+    csum, cdiff = c1 + c2, c1 - c2
+    p = np.arange(n + 1)
+    coef = np.stack([math.comb(n, k) * (csum ** k * cdiff ** (n - k)).sum(axis=1) for k in p],
+                    axis=1) * 0.5 ** n  # [d, p]
+    vsum = (v[:, None] + v[None, :]).ravel()
+    vdiff = (v[:, None] - v[None, :]).ravel()
+    planes_p = vsum ** p[:, None] * vdiff ** (n - p)[:, None]  # [p, v1 v2]
+    total = 0.0 + 0.0j
+    for d, planes in _weight_planes(r, spec, v, wv):
+        poly = coef[d] @ planes_p
+        total += np.exp(1j * (d * dq)) @ (planes.reshape(d.size, -1) * poly).sum(axis=1)
+    return (1j) ** n * (-total * dq * dq / (4.0 * math.pi ** 2))
 
 
 def rss_quadrature(r: complex, omega, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> QuadratureResult:
@@ -151,11 +184,11 @@ def rss_quadrature(r: complex, omega, spec: QuadratureSpec = DEFAULT_QUADRATURE)
     r = complex(r)
     if not abs(r) < 1.0:
         raise DomainError(f"quadrature requires |r| < 1, got {abs(r)}")
-    w = float(omega)
+    w = finite_nonnegative(omega, "omega")
     coarse = _rss_single(r, w, spec)
     fine = _rss_single(r, w, spec.doubled())
     err = abs(fine - coarse)
-    if err > spec.target_abs_tol:
+    if not err <= spec.target_abs_tol:
         raise AccuracyError(
             f"rss_quadrature error estimate {err:.2e} exceeds "
             f"target {spec.target_abs_tol:.2e}",
@@ -170,15 +203,15 @@ def omega_n_quadrature(n: int, r: complex,
     Limited to n <= 8: the polynomial factor (v1 cos q1 + v2 cos q2)^n raises
     the radial node demand with n.
     """
-    if n < 0 or n > 8:
-        raise DomainError("omega_n_quadrature supports 0 <= n <= 8")
+    if not isinstance(n, (int, np.integer)) or not 0 <= n <= 8:
+        raise DomainError(f"omega_n_quadrature supports integer 0 <= n <= 8, got {n!r}")
     r = complex(r)
     if not abs(r) < 1.0:
         raise DomainError(f"quadrature requires |r| < 1, got {abs(r)}")
     coarse = _omega_n_single(n, r, spec)
     fine = _omega_n_single(n, r, spec.doubled())
     err = abs(fine - coarse)
-    if err > spec.target_abs_tol:
+    if not err <= spec.target_abs_tol:
         raise AccuracyError(
             f"omega_n_quadrature error estimate {err:.2e} exceeds "
             f"target {spec.target_abs_tol:.2e}",
@@ -228,12 +261,18 @@ def angular_struve_check(x: float, n_nodes: int = 1 << 20) -> float:
     modified Struve function L0(x).
     """
     x = finite_nonnegative(x, "angular_struve_check x")
-    u = 2.0 * math.pi * np.arange(n_nodes) / n_nodes
+    if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 1:
+        raise DomainError(f"n_nodes must be an integer >= 1, got {n_nodes!r}")
+    # node j and node n_nodes - j share a cosine: sum the open half circle twice
+    half = (n_nodes + 1) // 2
     total = 0.0
     chunk = 1 << 20
-    for lo in range(0, n_nodes, chunk):
-        uu = u[lo:lo + chunk]
-        total += float(np.sum(np.abs(np.exp(-x * np.cos(uu)) - 1.0)))
+    for lo in range(1, half, chunk):
+        u = 2.0 * math.pi * np.arange(lo, min(lo + chunk, half)) / n_nodes
+        total += float(np.sum(np.abs(np.exp(-x * np.cos(u)) - 1.0)))
+    total = 2.0 * total + abs(math.exp(-x) - 1.0)
+    if n_nodes % 2 == 0:
+        total += abs(math.exp(x) - 1.0)  # u = pi
     return total / n_nodes
 
 
@@ -252,14 +291,21 @@ def abs_convergence_check(abs_r: float,
     nrad = max(spec.radial_nodes, int(spec.radial_nodes * v_max / spec.v_max) + 1)
     wide = QuadratureSpec(spec.angular_nodes, nrad, v_max, spec.target_abs_tol)
     v, wv = _radial_rule(wide)
-    log_gauss = -0.25 * (v[:, None] ** 2 + v[None, :] ** 2)
-    logw = np.log(wv[:, None]) + np.log(wv[None, :])
-    scale = 0.5 * abs_r * v[:, None] * v[None, :]
+    # the plane is symmetric in (v1, v2): the upper triangle, off-diagonal counted twice
+    i, j = np.triu_indices(v.size)
+    log_weight = -0.25 * (v[i] ** 2 + v[j] ** 2) + (np.log(wv[i]) + np.log(wv[j]))
+    scale = 0.5 * abs_r * v[i] * v[j]
+    fold = np.where(i == j, 1.0, 2.0)
+    # cos(theta_d) = cos(theta_(N-d)): d = 0 (and N/2 for even N) once, the rest twice
     nang = wide.angular_nodes
+    d = np.arange(nang // 2 + 1)
+    mult = np.where((d == 0) | (2 * d == nang), 1.0, 2.0)
+    cos_t = np.cos(2.0 * math.pi * d / nang)
+    step = max(1, _BLOCK_BYTES // scale.nbytes)
     total = 0.0
-    for d in range(nang):
-        theta = 2.0 * math.pi * d / nang
-        total += float(np.sum(np.exp(log_gauss + logw - scale * math.cos(theta))))
+    for lo in range(0, d.size, step):
+        e = np.exp(log_weight - scale * cos_t[lo:lo + step, None])
+        total += float(mult[lo:lo + step] @ (e @ fold))
     lhs = total * (2.0 * math.pi / nang) * 2.0 * math.pi
     rhs = (4.0 * math.pi ** 2 / math.sqrt(1.0 - abs_r ** 2)
            * (math.pi + 2.0 * math.atan(abs_r / math.sqrt(1.0 - abs_r ** 2)))

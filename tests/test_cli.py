@@ -65,6 +65,16 @@ class TestCoeffs:
                              env=env, timeout=120, check=True).stdout
         assert out.split() == ["0", "False"]
 
+    def test_cli_and_validation_leave_scipy_submodules_out(self):
+        # set-up cost: the package imports no scipy submodule until a run needs one
+        code = ("import sys, recipspec.cli, recipspec.validation; "
+                "print([m for m in ('scipy.signal', 'scipy.special', 'scipy.stats') "
+                "if m in sys.modules])")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120, check=True).stdout
+        assert out.strip() == "[]"
+
     def test_json_format(self, tmp_path):
         rc = run(tmp_path, "coeffs", "--tau-start", "1.0", "--tau-stop", "1.0",
                  "--tau-step", "1.0", "--max-order", "2", "--format", "json")

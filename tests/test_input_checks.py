@@ -17,8 +17,8 @@ from recipspec.bounds import (gaussian_l1_bound, l1_integrand, lorentzian_l1_bou
 from recipspec.coefficients import build_table, omega_n_general, omega_n_over_grid
 from recipspec.errors import ConfigError, DomainError
 from recipspec.kernels import DopplerLorentzian, GaussianKernel, Lorentzian, Tabulated
-from recipspec.oracle import (angular_struve_check, omega_n_quadrature, rss_montecarlo,
-                              rss_quadrature)
+from recipspec.oracle import (QuadratureSpec, angular_struve_check, omega_n_quadrature,
+                              rss_montecarlo, rss_quadrature)
 from recipspec.series import (OmegaRatio, asymptotic_floor, autocorrelation,
                               autocovariance, denormalize, floor_partial)
 from recipspec.simulator import SimulationConfig, invert
@@ -30,6 +30,7 @@ NONFINITE = [math.nan, math.inf, -math.inf]
 BAD_OMEGA = NONFINITE + [-0.5]
 BAD_SEGMENT_LEN = [0, 1, -4]
 BAD_UNIT_INTERVAL = [math.nan, math.inf, -0.1, 1.0]
+BAD_NODE_COUNT = [8.5, math.nan, 7]
 GRID = TauGrid(dtau=0.1, half_points=16)
 SAMPLES = np.ones(4, dtype=complex)
 
@@ -57,7 +58,17 @@ ENTRY_POINTS = {
     "gauss_2f1_regularized_grid.z": (lambda x: gauss_2f1_regularized_grid(1, 1, 2, [0.5, x]),
                                      DomainError, NONFINITE),
     "rss_quadrature.r": (lambda x: rss_quadrature(x, 0.5), DomainError, NONFINITE),
+    "rss_quadrature.omega": (lambda x: rss_quadrature(0.5, x), DomainError, BAD_OMEGA),
     "omega_n_quadrature.r": (lambda x: omega_n_quadrature(2, x), DomainError, NONFINITE),
+    "omega_n_quadrature.n": (lambda x: omega_n_quadrature(x, 0.5), DomainError,
+                             [2.5, math.nan, -1, 9]),
+    "QuadratureSpec.angular_nodes": (lambda x: QuadratureSpec(angular_nodes=x), DomainError,
+                                     BAD_NODE_COUNT),
+    "QuadratureSpec.radial_nodes": (lambda x: QuadratureSpec(radial_nodes=x), DomainError,
+                                    BAD_NODE_COUNT),
+    "QuadratureSpec.v_max": (lambda x: QuadratureSpec(v_max=x), DomainError, NONFINITE + [7.5]),
+    "QuadratureSpec.target_abs_tol": (lambda x: QuadratureSpec(target_abs_tol=x), DomainError,
+                                      NONFINITE + [0.0, -1.0]),
     "autocovariance.omega": (lambda x: autocovariance(0.5, x, 4), DomainError, BAD_OMEGA),
     "asymptotic_floor.omega": (asymptotic_floor, DomainError, BAD_OMEGA),
     "floor_partial.omega": (lambda x: floor_partial(x, 4), DomainError, BAD_OMEGA),
@@ -99,6 +110,8 @@ ENTRY_POINTS = {
                         DomainError, NONFINITE),
     "struve_l0.x": (struve_l0, DomainError, BAD_OMEGA),
     "angular_struve_check.x": (angular_struve_check, DomainError, BAD_OMEGA),
+    "angular_struve_check.n_nodes": (lambda x: angular_struve_check(1.0, x), DomainError,
+                                     [0, -4, 2.5]),
     "hyp3f2_zero_balanced.z": (hyp3f2_zero_balanced, DomainError, BAD_UNIT_INTERVAL),
     "l1_integrand.abs_r": (l1_integrand, DomainError, BAD_UNIT_INTERVAL),
 }

@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from recipspec import oracle
 from recipspec.coefficients import omega0_closed, omega2_closed, omega_n_general
 from recipspec.errors import AccuracyError, DomainError
 from recipspec.oracle import (DEFAULT_QUADRATURE, JointCovariance,
-                              QuadratureSpec, _rss_single,
+                              QuadratureSpec, _omega_n_single, _rss_single,
                               abs_convergence_check, angular_struve_check,
                               omega_n_quadrature, rss_montecarlo,
                               rss_quadrature)
@@ -18,9 +19,11 @@ from recipspec.series import asymptotic_floor
 from recipspec.specfun import struve_l0
 
 
-def rss_plain_tensor(r, w, spec: QuadratureSpec):
+def plain_tensor(r, spec: QuadratureSpec, factor, magnitude=False):
     """The defining quadrature rule, written as the literal 4-fold loop
-    (vectorized only over the radial plane)."""
+    (vectorized only over the radial plane), for the integrand factor
+    ``factor(v1 cos q1 + v2 cos q2)``.  With ``magnitude`` it sums the terms'
+    absolute values instead: the scale of the loop's own rounding."""
     r = complex(r)
     absr, phi = abs(r), cmath.phase(r) if r != 0 else 0.0
     x, wgt = np.polynomial.legendre.leggauss(spec.radial_nodes)
@@ -34,19 +37,65 @@ def rss_plain_tensor(r, w, spec: QuadratureSpec):
         for q2 in q:
             coupling = np.exp(-0.5 * absr * v[:, None] * v[None, :]
                               * math.cos(q1 - q2 + phi))
-            osc = np.exp(1j * w * (v[:, None] * math.cos(q1)
-                                   + v[None, :] * math.cos(q2)))
-            total += cmath.exp(1j * (q1 - q2)) * np.sum(gauss * coupling * osc)
+            proj = v[:, None] * math.cos(q1) + v[None, :] * math.cos(q2)
+            if magnitude:
+                total += np.sum(gauss * coupling * np.abs(factor(proj)))
+            else:
+                total += cmath.exp(1j * (q1 - q2)) * np.sum(gauss * coupling * factor(proj))
     return -total * dq * dq / (4 * np.pi ** 2)
+
+
+def rss_plain_tensor(r, w, spec: QuadratureSpec):
+    return plain_tensor(r, spec, lambda proj: np.exp(1j * w * proj))
+
+
+def omega_n_plain_tensor(n, r, spec: QuadratureSpec, magnitude=False):
+    """Omega_n's rule: the n-th omega-derivative of the integrand at omega = 0."""
+    return (1j) ** n * plain_tensor(r, spec, lambda proj: proj ** n, magnitude)
+
+
+def abs_convergence_full_sum(abs_r, spec: QuadratureSpec):
+    """abs_convergence_check's lhs over the full circle of angles and the full
+    radial square, with its widened radial rule."""
+    v_max = max(spec.v_max, 6.0 / math.sqrt(1.0 - abs_r))
+    nrad = max(spec.radial_nodes, int(spec.radial_nodes * v_max / spec.v_max) + 1)
+    x, wgt = np.polynomial.legendre.leggauss(nrad)
+    v = 0.5 * v_max * (x + 1.0)
+    wv = 0.5 * v_max * wgt
+    log_weight = (-0.25 * (v[:, None] ** 2 + v[None, :] ** 2)
+                  + np.log(wv[:, None]) + np.log(wv[None, :]))
+    scale = 0.5 * abs_r * v[:, None] * v[None, :]
+    nang = spec.angular_nodes
+    total = sum(np.sum(np.exp(log_weight - scale * math.cos(2 * np.pi * d / nang)))
+                for d in range(nang))
+    return total * (2 * np.pi / nang) * 2 * np.pi
+
+
+def struve_full_sum(x, n_nodes):
+    u = 2 * np.pi * np.arange(n_nodes) / n_nodes
+    return float(np.mean(np.abs(np.exp(-x * np.cos(u)) - 1.0)))
+
+
+def close_to(got, want, rel=1e-12):
+    return abs(got - want) <= rel * max(1.0, abs(want))
+
+
+SMALL = QuadratureSpec(angular_nodes=24, radial_nodes=24, v_max=12.0)
 
 
 class TestQuadrature:
     def test_equals_plain_tensor_rule(self):
-        small = QuadratureSpec(angular_nodes=24, radial_nodes=24, v_max=12.0)
         for r, w in [(0.5, 0.0), (0.5, 0.7), (math.exp(-1) * cmath.exp(-2j), 0.7)]:
-            fast = _rss_single(complex(r), w, small)
-            plain = rss_plain_tensor(r, w, small)
+            fast = _rss_single(complex(r), w, SMALL)
+            plain = rss_plain_tensor(r, w, SMALL)
             assert fast == pytest.approx(plain, abs=1e-12)
+
+    def test_blocks_of_angles_change_nothing(self, monkeypatch):
+        r = math.exp(-1) * cmath.exp(-2j)
+        whole = _rss_single(r, 0.7, SMALL)
+        # 24 angles in blocks of 5: four whole blocks and a short one
+        monkeypatch.setattr(oracle, "_BLOCK_BYTES", 5 * 24 * 24 * 8)
+        assert _rss_single(r, 0.7, SMALL) == whole
 
     def test_matches_order_zero_closed_form(self):
         res = rss_quadrature(0.5, 0.0)
@@ -69,6 +118,11 @@ class TestQuadrature:
         b = rss_quadrature(r.conjugate(), 0.8).value
         assert a == pytest.approx(b.conjugate(), abs=1e-9)
 
+    def test_nan_estimate_fails_closed(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_rss_single", lambda r, w, spec: complex(math.nan))
+        with pytest.raises(AccuracyError):
+            rss_quadrature(0.5, 0.5)
+
     def test_accuracy_error_path(self):
         strict = QuadratureSpec(angular_nodes=16, radial_nodes=16, v_max=8.0,
                                 target_abs_tol=1e-14)
@@ -82,6 +136,25 @@ class TestQuadrature:
 
 
 class TestOmegaNQuadrature:
+    @pytest.mark.parametrize("block_planes", [None, 5], ids=["one_block", "blocks_of_5"])
+    @pytest.mark.parametrize("r", [0.5, math.exp(-1) * cmath.exp(-2j)], ids=["real", "complex"])
+    def test_equals_plain_tensor_rule(self, r, block_planes, monkeypatch):
+        # the separated sum reorders the literal loop; odd orders included
+        if block_planes is not None:
+            monkeypatch.setattr(oracle, "_BLOCK_BYTES", block_planes * 24 * 24 * 8)
+        for n in range(9):
+            fast = _omega_n_single(n, complex(r), SMALL)
+            plain = omega_n_plain_tensor(n, r, SMALL)
+            # odd orders are 0 up to rounding, which both sides resolve only to
+            # a few machine epsilons of the sum of the terms' magnitudes
+            rounding = 1e-15 * abs(omega_n_plain_tensor(n, r, SMALL, magnitude=True))
+            assert abs(fast - plain) <= 1e-12 * max(1.0, abs(plain)) + rounding, (n, fast, plain)
+
+    def test_nan_estimate_fails_closed(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_omega_n_single", lambda n, r, spec: complex(math.nan))
+        with pytest.raises(AccuracyError):
+            omega_n_quadrature(2, 0.5)
+
     def test_order_zero(self):
         res = omega_n_quadrature(0, 0.5)
         assert res.value.real == pytest.approx(0.575364144904, abs=1e-6)
@@ -171,6 +244,11 @@ class TestStruveAndConvergence:
     def test_angular_struve_zero(self):
         assert angular_struve_check(0.0) == 0.0
 
+    @pytest.mark.parametrize("n_nodes", [1 << 20, 1001, 1000])
+    def test_angular_struve_equals_full_node_sum(self, n_nodes):
+        for x in (0.1, 1.0, 5.0):
+            assert close_to(angular_struve_check(x, n_nodes), struve_full_sum(x, n_nodes))
+
     def test_angular_struve_identity(self):
         for x in (0.1, 1.0, 5.0):
             q = angular_struve_check(x)
@@ -187,6 +265,13 @@ class TestStruveAndConvergence:
         lhs, rhs = abs_convergence_check(0.0)
         assert rhs == pytest.approx(4 * math.pi ** 3, rel=1e-15)
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+    @pytest.mark.parametrize("spec", [DEFAULT_QUADRATURE, QuadratureSpec(angular_nodes=25)],
+                             ids=["even_angles", "odd_angles"])
+    def test_abs_convergence_equals_full_sum(self, spec):
+        for absr in (0.0, 0.3, 0.99):
+            lhs, _ = abs_convergence_check(absr, spec)
+            assert close_to(lhs, abs_convergence_full_sum(absr, spec))
 
     def test_abs_convergence_margins(self):
         for absr in (0.3, 0.9, 0.99):

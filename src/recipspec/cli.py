@@ -39,9 +39,8 @@ class Option:
     """One option of a subcommand: the flag ``--name`` (dashes for
     underscores) and the config key ``name``.
 
-    ``type`` converts the text of either; ``bool`` makes a switch, which a
-    config file sets with ``true`` or ``false``.  The default applies when
-    neither the flag nor the config file gives a value.
+    ``type`` converts the text of either.  The default applies when neither
+    the flag nor the config file gives a value.
     """
 
     name: str
@@ -68,10 +67,6 @@ _FORMAT = (Option("format", default="csv", help="output file format",
 
 def _convert(opt: Option, text: str):
     """A config value through the option's converter and choices."""
-    if opt.type is bool:
-        if text not in ("true", "false"):
-            raise ValueError(f"expected true or false, got {text!r}")
-        return text == "true"
     value = opt.type(text)
     if opt.choices and value not in opt.choices:
         raise ValueError(f"invalid choice {value!r} (choose from {', '.join(opt.choices)})")
@@ -172,16 +167,13 @@ def cmd_spectrum(p: dict, manifest: RunManifest) -> int:
 
 
 def cmd_simulate(p: dict, manifest: RunManifest) -> int:
-    if p["threads"] < 1:
-        raise ConfigError("--threads must be >= 1")
     config = SimulationConfig(kernel=_kernel_from(p), omega=p["omega"], dt=p["dt"],
                               n_samples=p["samples"], seed=p["seed"],
                               fir_taps=p["fir_taps"])
     dump_path = (os.path.join(p["out_dir"], p["dump_samples"])
                  if p["dump_samples"] else None)
     result = run_experiment(config, order=p["order"], segment_len=p["segment_len"],
-                            overlap_fraction=p["overlap"], window_kind=p["window"],
-                            robust=p["robust"], dump_path=dump_path)
+                            dump_path=dump_path)
     if dump_path is not None:
         manifest.add_output(dump_path)
         manifest.add_output(dump_path + ".json")
@@ -243,10 +235,6 @@ COMMANDS = {
         Option("samples", int, 2 ** 22, "number of samples"),
         Option("fir_taps", int, 1025, "flat-band FIR length"),
         Option("segment_len", int, 4096, "Welch segment length"),
-        Option("overlap", float, 0.5, "Welch segment overlap fraction"),
-        Option("window", default="hann", help="Welch window: hann, boxcar or kaiser<beta>"),
-        Option("robust", bool, False, "median instead of mean of the Welch periodograms"),
-        Option("threads", int, 1, "worker count (results are independent of it)"),
         Option("dump_samples", help="also dump the raw generated stream to this file"),
     ), cmd_simulate),
     "bounds": ("integrability report for a kernel", _COMMON + _KERNEL, cmd_bounds),
@@ -268,12 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="KEY=VALUE defaults file; flags win")
         for opt in options:
             flag = "--" + opt.name.replace("_", "-")
-            text = (opt.help if opt.default is None or opt.type is bool
-                    else f"{opt.help} (default {opt.default})")
-            if opt.type is bool:
-                p.add_argument(flag, action="store_const", const=True, help=text)
-            else:
-                p.add_argument(flag, type=opt.type, choices=opt.choices or None, help=text)
+            text = opt.help if opt.default is None else f"{opt.help} (default {opt.default})"
+            p.add_argument(flag, type=opt.type, choices=opt.choices or None, help=text)
     return parser
 
 

@@ -7,9 +7,7 @@ lag; the tabulated variant is whatever the data says on its grid.
 
 from __future__ import annotations
 
-import cmath
 import csv
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -190,29 +188,6 @@ def load_tabulated_csv(path) -> Tabulated:
             lags.append(cells[0])
             vals.append(complex(cells[1], cells[2] if len(cells) == 3 else 0.0))
     return Tabulated(lags, vals)
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """r split into its real/imaginary and polar parts: r = rho - i*mu = |r| e^{i phi}."""
-
-    rho: float
-    mu: float
-    magnitude: float
-    phase: float
-
-
-def decompose(r: complex) -> Decomposition:
-    """Split a correlation value into (rho, mu, magnitude, phase).
-
-    rho = Re r and mu = -Im r, following the sign convention of the Hermitian
-    decomposition; raises DomainError when |r| exceeds 1 beyond roundoff.
-    """
-    r = complex(r)
-    mag = abs(r)
-    if mag > 1.0 + 1e-12:
-        raise DomainError(f"|r| = {mag} exceeds 1")
-    return Decomposition(rho=r.real, mu=-r.imag, magnitude=mag, phase=cmath.phase(r))
 
 
 def make_kernel(kind: str, a: float = 1.0, beta: float = 0.0,

@@ -173,6 +173,23 @@ def _omega_n_single(n: int, r: complex, spec: QuadratureSpec) -> complex:
     return (1j) ** n * (-total * dq * dq / (4.0 * math.pi ** 2))
 
 
+def _coarse_and_doubled(name: str, rule, spec: QuadratureSpec) -> QuadratureResult:
+    """``rule`` at ``spec`` and at doubled node counts: the doubled value, and
+    their difference as its error estimate.
+
+    Raises AccuracyError (carrying the doubled value) when the estimate
+    misses ``spec.target_abs_tol``.
+    """
+    coarse = rule(spec)
+    fine = rule(spec.doubled())
+    err = abs(fine - coarse)
+    if not err <= spec.target_abs_tol:
+        raise AccuracyError(
+            f"{name} error estimate {err:.2e} exceeds target {spec.target_abs_tol:.2e}",
+            partial_value=fine, tail_estimate=err)
+    return QuadratureResult(value=fine, error_estimate=err)
+
+
 def rss_quadrature(r: complex, omega, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> QuadratureResult:
     """Normalized autocorrelation by direct quadrature of the reduced integral.
 
@@ -185,15 +202,7 @@ def rss_quadrature(r: complex, omega, spec: QuadratureSpec = DEFAULT_QUADRATURE)
     if not abs(r) < 1.0:
         raise DomainError(f"quadrature requires |r| < 1, got {abs(r)}")
     w = finite_nonnegative(omega, "omega")
-    coarse = _rss_single(r, w, spec)
-    fine = _rss_single(r, w, spec.doubled())
-    err = abs(fine - coarse)
-    if not err <= spec.target_abs_tol:
-        raise AccuracyError(
-            f"rss_quadrature error estimate {err:.2e} exceeds "
-            f"target {spec.target_abs_tol:.2e}",
-            partial_value=fine, tail_estimate=err)
-    return QuadratureResult(value=fine, error_estimate=err)
+    return _coarse_and_doubled("rss_quadrature", lambda s: _rss_single(r, w, s), spec)
 
 
 def omega_n_quadrature(n: int, r: complex,
@@ -208,15 +217,7 @@ def omega_n_quadrature(n: int, r: complex,
     r = complex(r)
     if not abs(r) < 1.0:
         raise DomainError(f"quadrature requires |r| < 1, got {abs(r)}")
-    coarse = _omega_n_single(n, r, spec)
-    fine = _omega_n_single(n, r, spec.doubled())
-    err = abs(fine - coarse)
-    if not err <= spec.target_abs_tol:
-        raise AccuracyError(
-            f"omega_n_quadrature error estimate {err:.2e} exceeds "
-            f"target {spec.target_abs_tol:.2e}",
-            partial_value=fine, tail_estimate=err)
-    return QuadratureResult(value=fine, error_estimate=err)
+    return _coarse_and_doubled("omega_n_quadrature", lambda s: _omega_n_single(n, r, s), spec)
 
 
 def rss_montecarlo(r: complex, omega, n_samples: int, seed: int,

@@ -18,27 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import omega_bound, omega_limit, omega_n_over_grid
-from .errors import DomainError, finite_nonnegative, finite_positive
+from .errors import DomainError, finite_nonnegative
 
 #: relative tail-bound level above which a SeriesEvaluation is flagged
 TAIL_FLAG_RELATIVE = 1e-3
-
-
-@dataclass(frozen=True)
-class OmegaRatio:
-    """Non-negative ratio |w0| / sqrt(R_ww(0)) driving the expansion."""
-
-    value: float
-
-    def __post_init__(self):
-        finite_nonnegative(self.value, "omega ratio")
-
-    @classmethod
-    def from_mean_and_power(cls, w0: complex, r_ww0: float) -> "OmegaRatio":
-        return cls(abs(w0) / math.sqrt(finite_positive(r_ww0, "process power")))
-
-    def __float__(self):
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -142,7 +125,3 @@ def autocovariance(r, omega, order: int = 20) -> SeriesEvaluation:
     return SeriesEvaluation(value=ac.value - floor_partial(omega, order),
                             tail_bound=ac.tail_bound)
 
-
-def denormalize(normalized_value: complex, r_ww0: float) -> complex:
-    """Undo the unit-power normalization: R_ss = R_hat / R_ww(0)."""
-    return normalized_value / finite_positive(r_ww0, "R_ww(0)")

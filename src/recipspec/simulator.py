@@ -23,7 +23,7 @@ from .errors import (ConfigError, DomainError, StatisticalQualityError,
                      finite_nonnegative, finite_positive)
 from .kernels import CorrelationKernel, FlatBand, Lorentzian
 from .manifest import atomic_write_text, atomic_write_via, dump_json
-from .spectrum import (SpectrumResult, theoretical_spectrum, TauGrid, make_window,
+from .spectrum import (SpectrumResult, theoretical_spectrum, TauGrid, hann_window,
                        welch_covariance_spectrum, welch_expected_spectrum, welch_layout)
 
 _CHUNK = 1 << 18
@@ -55,16 +55,17 @@ class SimulationConfig:
             raise ConfigError("simulation supports Lorentzian and FlatBand kernels")
         finite_nonnegative(self.omega, "omega", ConfigError)
         finite_positive(self.dt, "dt", ConfigError)
-        if self.n_samples < 2 ** 16:
-            raise ConfigError("need at least 2^16 samples")
+        if not isinstance(self.n_samples, (int, np.integer)) or self.n_samples < 2 ** 16:
+            raise ConfigError(f"n_samples must be an integer >= 2^16, got {self.n_samples!r}")
         if isinstance(self.kernel, Lorentzian) and self.kernel.a * self.dt >= 0.5:
             raise ConfigError(
                 f"a*dt = {self.kernel.a * self.dt} too coarse to resolve the "
                 "correlation (need a*dt < 0.5)")
         if isinstance(self.kernel, FlatBand) and self.dt > math.pi / 2:
             raise ConfigError("FlatBand requires dt <= pi/2 (band inside Nyquist)")
-        if self.fir_taps < 3 or self.fir_taps % 2 == 0:
-            raise ConfigError("fir_taps must be an odd integer >= 3")
+        if (not isinstance(self.fir_taps, (int, np.integer)) or self.fir_taps < 3
+                or self.fir_taps % 2 == 0):
+            raise ConfigError(f"fir_taps must be an odd integer >= 3, got {self.fir_taps!r}")
 
 
 def _chunk_rng(seed: int, stream: int) -> np.random.Generator:
@@ -244,9 +245,7 @@ def _band_metrics(empirical: np.ndarray, reference: np.ndarray) -> dict:
 
 
 def run_experiment(config: SimulationConfig, order: Optional[int] = None,
-                   segment_len: int = 4096, overlap_fraction: float = 0.5,
-                   window_kind: str = "hann", robust: bool = False,
-                   dump_path=None) -> ExperimentResult:
+                   segment_len: int = 4096, dump_path=None) -> ExperimentResult:
     """Generate, gate, invert, estimate, and compare against the series theory.
 
     The headline metrics compare the Welch estimate against the Welch
@@ -259,14 +258,14 @@ def run_experiment(config: SimulationConfig, order: Optional[int] = None,
     is not the acceptance metric; it sits on the midpoint grid of
     segment_len / 2 lags, whose bins pair with the Welch bins by index.
 
-    A bad Welch setting (``make_window``, ``welch_layout``) or a segment_len
-    that is odd or below 32 (DomainError) fails before any sample is drawn.
+    A segment_len that ``hann_window`` or ``welch_layout`` rejects, or one
+    that is odd or below 32 (DomainError), fails before any sample is drawn.
     """
     if order is None:
         order = 10 if isinstance(config.kernel, FlatBand) else 20
-    # a bad Welch setting or lag grid fails before any sample is drawn
-    make_window(window_kind, segment_len)
-    welch_layout(config.n_samples, segment_len, overlap_fraction)
+    # a bad segment length fails before any sample is drawn
+    hann_window(segment_len)
+    welch_layout(config.n_samples, segment_len)
     if segment_len % 2:
         raise DomainError(f"segment_len must be even for the midpoint lag grid, "
                           f"got {segment_len}")
@@ -276,16 +275,13 @@ def run_experiment(config: SimulationConfig, order: Optional[int] = None,
         dump_samples(w_seq, dump_path)
     fidelity = generator_fidelity_check(config, w_seq)
     s, diag = invert(w_seq, config.omega)
-    empirical = welch_covariance_spectrum(
-        s, config.dt, segment_len=segment_len,
-        overlap_fraction=overlap_fraction, window_kind=window_kind,
-        robust=robust)
+    empirical = welch_covariance_spectrum(s, config.dt, segment_len=segment_len)
 
     centered = s - s.mean()
     r0 = float(np.mean(np.abs(centered) ** 2))
     expected = welch_expected_spectrum(
         config.kernel, config.omega, order, config.dt, segment_len,
-        window_kind, zero_lag_value=r0)
+        zero_lag_value=r0)
 
     theoretical = theoretical_spectrum(config.kernel, config.omega, order, grid)
 

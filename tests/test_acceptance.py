@@ -13,7 +13,7 @@ runs exactly the same code.  Criteria and tolerances:
  8. angular/Struve identity, rel < 1e-8
  9. simulation vs theory: median < 0.5 dB, p95 < 1.5 dB in the -40 dB band
 10. 1/f tail slope -1 +/- 0.1
-11. byte determinism of cmd_simulate across runs and thread counts
+11. byte determinism of cmd_simulate across reruns
 """
 
 from recipspec import validation

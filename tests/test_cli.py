@@ -1,7 +1,10 @@
 """CLI behavior: file emission, manifests, exit codes, determinism."""
 
+import argparse
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -159,8 +162,8 @@ class TestSimulate:
 
     def test_byte_determinism_across_threads(self, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
-        assert main(list(self.ARGS) + ["--threads", "1", "--out-dir", str(d1)]) == 0
-        assert main(list(self.ARGS) + ["--threads", "8", "--out-dir", str(d2)]) == 0
+        assert run(d1, *self.ARGS) == 0
+        assert run(d2, *self.ARGS) == 0
         for name in ("empirical.csv", "expected.csv", "theoretical.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
@@ -171,8 +174,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("flag, value", [
         ("--segment-len", "0"), ("--segment-len", "1"), ("--segment-len", "-4"),
-        ("--window", "kaiserabc"), ("--window", "kaisernan"),
-        ("--segment-len", "16384"), ("--segment-len", "131072"), ("--overlap", "0.95"),
+        ("--segment-len", "16384"), ("--segment-len", "131072"),
         ("--segment-len", "16"), ("--segment-len", "1025")])
     def test_bad_welch_setting_exits_2_before_sampling(self, tmp_path, capsys, flag, value):
         rc = run(tmp_path, "simulate", "--kernel", "lorentzian", "--samples", str(1 << 16),
@@ -181,6 +183,14 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error:")
         assert not list(tmp_path.iterdir())  # neither the sample dump nor a CSV
 
+    @pytest.mark.parametrize("flags", [
+        ["--robust"], ["--window", "hann"], ["--overlap", "0.5"], ["--threads", "1"]])
+    def test_removed_welch_and_thread_flags_exit_2(self, tmp_path, flags):
+        # simulate runs one Welch estimator (Hann, half overlap, mean) on one thread
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, *self.ARGS, *flags)
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
 
     def test_dump_samples_into_a_new_directory(self, tmp_path):
         import numpy as np
@@ -245,17 +255,11 @@ class TestConfigFile:
         assert manifest["parameters"]["a"] == 2.0          # from config
         assert manifest["parameters"]["max_order"] == 2    # flag wins
 
-    def test_boolean_false_stays_false(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("robust=false\n")
-        out = tmp_path / "out"
-        assert run(out, *TestSimulate.ARGS, "--config", str(cfg)) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["parameters"]["robust"] is False
-
     @pytest.mark.parametrize("command, line", [
         ("spectrum", "omgea=3"), ("coeffs", "omega=1.0"), ("validate", "kernel=gaussian"),
         ("simulate", "robust=yes"), ("simulate", "robust=False"), ("coeffs", "a=abc"),
+        ("simulate", "robust=true"), ("simulate", "window=hann"), ("simulate", "overlap=0.5"),
+        ("simulate", "threads=1"),
         ("simulate", "format=json"), ("bounds", "format=json"), ("validate", "format=json"),
         ("coeffs", "format=xml"), ("validate", "profile=fast"), ("coeffs", "kernel=LORENTZIAN"),
         ("coeffs", "seed=1"), ("spectrum", "seed=1"), ("bounds", "seed=1"),
@@ -288,8 +292,6 @@ def test_seed_flag_only_on_simulate(tmp_path, command):
 def _sample(opt):
     """A valid value other than the default: (flag arguments, config line, value)."""
     flag = "--" + opt.name.replace("_", "-")
-    if opt.type is bool:
-        return [flag], f"{opt.name}=true", True
     text = opt.choices[-1] if opt.choices else {float: "0.25", int: "3"}.get(opt.type, "x")
     return [flag, text], f"{opt.name}={text}", opt.type(text)
 
@@ -321,3 +323,33 @@ def test_tabulated_kernel_via_cli(tmp_path):
                "--tau-start", "2.0", "--tau-stop", "8.0", "--tau-step", "2.0",
                "--max-order", "2", "--out-dir", str(tmp_path)])
     assert rc == 0
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_flags(text):
+    """(subcommand, flag) for each ``--flag`` the text names for a subcommand.
+
+    Command lines ``recipspec <cmd> ... --flag`` (continuation lines joined,
+    ``#`` comments dropped) and prose spans `` `<cmd> --flag` ``.
+    """
+    text = text.replace("\\\n", " ")
+    named = set()
+    for m in re.finditer(r"^\s*recipspec (\w+)([^#\n]*)", text, re.M):
+        named.update((m[1], flag) for flag in re.findall(r"--[\w-]+", m[2]))
+    for m in re.finditer(r"`(?:recipspec )?(\w+) (--[\w-]+)", text):
+        if m[1] in cli.COMMANDS:
+            named.add((m[1], m[2]))
+    return named
+
+
+def test_readme_names_only_real_flags():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    named = _readme_flags(README.read_text())
+    assert named
+    unknown = sorted((cmd, flag) for cmd, flag in named
+                     if cmd not in sub.choices
+                     or flag not in sub.choices[cmd]._option_string_actions)
+    assert unknown == []

@@ -19,11 +19,10 @@ from recipspec.errors import ConfigError, DomainError
 from recipspec.kernels import DopplerLorentzian, GaussianKernel, Lorentzian, Tabulated
 from recipspec.oracle import (QuadratureSpec, angular_struve_check, omega_n_quadrature,
                               rss_montecarlo, rss_quadrature)
-from recipspec.series import (OmegaRatio, asymptotic_floor, autocorrelation,
-                              autocovariance, denormalize, floor_partial)
+from recipspec.series import asymptotic_floor, autocorrelation, autocovariance, floor_partial
 from recipspec.simulator import SimulationConfig, invert
 from recipspec.specfun import gauss_2f1_regularized_grid, hyp3f2_zero_balanced, struve_l0
-from recipspec.spectrum import (TauGrid, make_window, theoretical_spectrum,
+from recipspec.spectrum import (TauGrid, theoretical_spectrum,
                                 welch_covariance_spectrum, welch_expected_spectrum)
 
 NONFINITE = [math.nan, math.inf, -math.inf]
@@ -42,8 +41,7 @@ def _config(**kw):
 
 
 def _welch(omega=0.5, dt=0.1, segment_len=64, zero_lag_value=1.0):
-    return welch_expected_spectrum(Lorentzian(1.0), omega, 4, dt, segment_len, "hann",
-                                   zero_lag_value)
+    return welch_expected_spectrum(Lorentzian(1.0), omega, 4, dt, segment_len, zero_lag_value)
 
 
 #: name -> (call taking the bad number, expected exception, bad numbers)
@@ -72,10 +70,6 @@ ENTRY_POINTS = {
     "autocovariance.omega": (lambda x: autocovariance(0.5, x, 4), DomainError, BAD_OMEGA),
     "asymptotic_floor.omega": (asymptotic_floor, DomainError, BAD_OMEGA),
     "floor_partial.omega": (lambda x: floor_partial(x, 4), DomainError, BAD_OMEGA),
-    "OmegaRatio": (OmegaRatio, DomainError, BAD_OMEGA),
-    "OmegaRatio.r_ww0": (lambda x: OmegaRatio.from_mean_and_power(1.0, x),
-                         DomainError, NONFINITE),
-    "denormalize.r_ww0": (lambda x: denormalize(1.0, x), DomainError, NONFINITE),
     "theoretical_spectrum.omega": (lambda x: theoretical_spectrum(Lorentzian(1.0), x, 4, GRID),
                                    DomainError, BAD_OMEGA),
     "welch_expected_spectrum.omega": (lambda x: _welch(omega=x), DomainError, BAD_OMEGA),
@@ -87,11 +81,16 @@ ENTRY_POINTS = {
     "welch_covariance_spectrum.segment_len": (
         lambda x: welch_covariance_spectrum(SAMPLES, 0.1, segment_len=x),
         DomainError, BAD_SEGMENT_LEN),
-    "make_window.kaiser_beta": (lambda x: make_window(f"kaiser{x}", 64), DomainError, BAD_OMEGA),
     "TauGrid.dtau": (lambda x: TauGrid(dtau=x, half_points=16), DomainError, NONFINITE),
+    "TauGrid.half_points": (lambda x: TauGrid(dtau=0.1, half_points=x), DomainError,
+                            [16.5, 16.0, math.nan, 15]),
     "TauGrid.nearest_bins": (lambda x: GRID.nearest_bins([0.1, x]), DomainError, NONFINITE),
     "SimulationConfig.omega": (lambda x: _config(omega=x), ConfigError, BAD_OMEGA),
     "SimulationConfig.dt": (lambda x: _config(dt=x), ConfigError, NONFINITE),
+    "SimulationConfig.n_samples": (lambda x: _config(n_samples=x), ConfigError,
+                                   [65536.5, 65536.0, math.nan]),
+    "SimulationConfig.fir_taps": (lambda x: _config(fir_taps=x), ConfigError,
+                                  [1025.0, 1025.5, math.nan]),
     "invert.omega": (lambda x: invert(SAMPLES, x), DomainError, BAD_OMEGA),
     "invert.r_ww0": (lambda x: invert(SAMPLES, 1.0, r_ww0=x), DomainError, NONFINITE),
     "Lorentzian.a": (lambda x: Lorentzian(a=x), DomainError, NONFINITE),

@@ -1,6 +1,5 @@
 """Kernel invariants: normalization, Hermitian symmetry, magnitude bound."""
 
-import cmath
 import math
 
 import numpy as np
@@ -9,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from recipspec.errors import DomainError
 from recipspec.kernels import (DopplerLorentzian, FlatBand, GaussianKernel,
-                               Lorentzian, Tabulated, decompose,
-                               load_tabulated_csv, make_kernel)
+                               Lorentzian, Tabulated, load_tabulated_csv,
+                               make_kernel)
 
 ALL_KERNELS = [
     Lorentzian(a=1.0),
@@ -61,40 +60,6 @@ def test_bad_rates_rejected():
         Lorentzian(a=0.0)
     with pytest.raises(DomainError):
         GaussianKernel(a=-1.0)
-
-
-class TestDecompose:
-    def test_unity(self):
-        d = decompose(1.0)
-        assert (d.rho, d.mu, d.magnitude, d.phase) == (1.0, -0.0, 1.0, 0.0)
-
-    def test_polar_point(self):
-        r = math.exp(-1) * cmath.exp(-0.5j)
-        d = decompose(r)
-        assert d.rho == pytest.approx(math.exp(-1) * math.cos(0.5))
-        assert d.mu == pytest.approx(math.exp(-1) * math.sin(0.5))
-        assert d.magnitude == pytest.approx(math.exp(-1))
-        assert d.phase == pytest.approx(-0.5)
-
-    def test_cartesian_point(self):
-        d = decompose(0.6 - 0.3j)
-        assert d.rho == pytest.approx(0.6)
-        assert d.mu == pytest.approx(0.3)
-        assert d.magnitude == pytest.approx(math.sqrt(0.45))
-        assert d.phase == pytest.approx(math.atan2(-0.3, 0.6))
-
-    def test_magnitude_violation(self):
-        with pytest.raises(DomainError):
-            decompose(1.001)
-
-    @given(st.floats(0, 0.999), st.floats(-math.pi, math.pi))
-    @settings(max_examples=60, deadline=None)
-    def test_roundtrip(self, mag, phase):
-        r = mag * cmath.exp(1j * phase)
-        d = decompose(r)
-        back = d.magnitude * cmath.exp(1j * d.phase)
-        assert back == pytest.approx(r, abs=1e-14)
-        assert complex(d.rho, -d.mu) == pytest.approx(r, abs=1e-14)
 
 
 class TestTabulated:

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from recipspec.coefficients import omega_bound, omega_n_general
 from recipspec.errors import DomainError
-from recipspec.series import (OmegaRatio, asymptotic_floor, autocorrelation,
-                              autocovariance, denormalize, floor_partial, tail_bound)
+from recipspec.series import (asymptotic_floor, autocorrelation, autocovariance,
+                              floor_partial, tail_bound)
 
 #: real and complex r with |r| < 0.95, a few lanes at a time
 _R = st.one_of(st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True).map(complex),
@@ -38,22 +38,6 @@ def _scalar_tail_bound(abs_r: float, w: float, order: int) -> float:
     return math.inf
 
 
-class TestOmegaRatio:
-    def test_construction(self):
-        assert OmegaRatio(0.0).value == 0.0
-        assert float(OmegaRatio(1.2)) == 1.2
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            OmegaRatio(-0.1)
-
-    def test_from_mean_and_power(self):
-        r = OmegaRatio.from_mean_and_power(3 + 4j, 25.0)
-        assert r.value == pytest.approx(1.0)
-        with pytest.raises(DomainError):
-            OmegaRatio.from_mean_and_power(1.0, 0.0)
-
-
 class TestFloor:
     def test_spot_values(self):
         assert asymptotic_floor(0.0) == 0.0
@@ -67,9 +51,6 @@ class TestFloor:
         for w in (0.25, 0.5, 1.0, 1.2):
             assert floor_partial(w, 40) == pytest.approx(
                 asymptotic_floor(w), rel=1e-8)
-
-    def test_accepts_omega_ratio(self):
-        assert asymptotic_floor(OmegaRatio(1.0)) == asymptotic_floor(1.0)
 
 
 class TestAutocorrelation:
@@ -194,19 +175,3 @@ class TestArrays:
         for bad in (1.0, -1.2, math.nan, complex(math.inf, 0.0)):
             with pytest.raises(DomainError):
                 autocorrelation(np.array([0.1, bad]), 0.5)
-
-
-class TestDenormalize:
-    def test_examples(self):
-        assert denormalize(0.575, 1.0) == 0.575
-        assert denormalize(0.575, 2.0) == pytest.approx(0.2875)
-
-    def test_roundtrip(self):
-        x = 0.3 - 0.7j
-        assert denormalize(x, 2.5) * 2.5 == pytest.approx(x, rel=1e-15)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            denormalize(1.0, 0.0)
-        with pytest.raises(DomainError):
-            denormalize(1.0, -2.0)

@@ -12,7 +12,7 @@ from recipspec.errors import ConsistencyError, DomainError, StatisticalQualityEr
 from recipspec.kernels import DopplerLorentzian, FlatBand, Lorentzian
 from recipspec.series import asymptotic_floor, partial_sum
 from recipspec.spectrum import (SpectrumResult, TauGrid, _hermitian_transform,
-                                make_window, tail_slope,
+                                hann_window, tail_slope,
                                 theoretical_spectrum, welch_covariance_spectrum,
                                 welch_expected_spectrum, window_lag_taper)
 
@@ -197,23 +197,12 @@ class TestWelch:
         b = welch_covariance_spectrum(x * np.exp(1j * 0.9), dt=1.0, segment_len=1024)
         np.testing.assert_allclose(a.psd, b.psd, rtol=1e-12)
 
-    def test_robust_mode_level(self):
-        rng = np.random.default_rng(13)
-        n = 1 << 19
-        x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
-        a = welch_covariance_spectrum(x, dt=1.0, segment_len=512)
-        b = welch_covariance_spectrum(x, dt=1.0, segment_len=512, robust=True)
-        assert float(np.mean(b.psd)) == pytest.approx(float(np.mean(a.psd)), rel=0.05)
-
     def test_quality_gates(self):
         x = np.zeros(1 << 12, dtype=complex)
         with pytest.raises(StatisticalQualityError):
             welch_covariance_spectrum(x, dt=1.0, segment_len=2048)
         with pytest.raises(DomainError):
             welch_covariance_spectrum(x, dt=1.0, segment_len=1 << 13)
-        with pytest.raises(DomainError):
-            welch_covariance_spectrum(x, dt=1.0, segment_len=256,
-                                      overlap_fraction=0.95)
 
 
 class TestWelchExpectation:
@@ -221,9 +210,8 @@ class TestWelchExpectation:
         # independent oracle: literal lag sum at a handful of bins
         from recipspec.series import autocovariance
         kernel, w, order, dt, seglen = Lorentzian(1.0), 0.8, 6, 0.2, 64
-        spec = welch_expected_spectrum(kernel, w, order, dt, seglen, "hann",
-                                       zero_lag_value=3.0)
-        win = make_window("hann", seglen)
+        spec = welch_expected_spectrum(kernel, w, order, dt, seglen, zero_lag_value=3.0)
+        win = hann_window(seglen)
         rho = window_lag_taper(win)
         for j in (0, 13, 40, 63):
             f = spec.frequencies[j]

@@ -4,11 +4,18 @@ The exponential-kernel process is generated by the exact first-order
 recursion (the kernel is exactly representable in discrete time, so the
 empirical autocorrelation has no discretization bias at integer lags).  The
 flat-band process is complex white noise through a Kaiser-windowed sinc FIR
-with the cutoff at the kernel's band edge, renormalized to unit variance.
+with the cutoff at the kernel's band edge, renormalized to unit variance; the
+FIR is applied one noise chunk at a time by FFT overlap-add into one output
+buffer.
 
 Generation is chunked, with one counter-based RNG stream per chunk keyed on
 (seed, chunk index); the sample stream is bitwise reproducible and does not
 depend on how chunks are scheduled.
+
+Memory: every full-length stage works in place or in blocks, so at its peak
+a run holds about two sample-length arrays (the samples with the reciprocal,
+or with the ACF gate's centered copy), plus Welch blocks whose size does not
+depend on the record length.
 """
 
 from __future__ import annotations
@@ -66,6 +73,9 @@ class SimulationConfig:
         if (not isinstance(self.fir_taps, (int, np.integer)) or self.fir_taps < 3
                 or self.fir_taps % 2 == 0):
             raise ConfigError(f"fir_taps must be an odd integer >= 3, got {self.fir_taps!r}")
+        # the seed is the first word of the 128-bit Philox key
+        if not isinstance(self.seed, (int, np.integer)) or not 0 <= int(self.seed) < 2 ** 64:
+            raise ConfigError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
 
 
 def _chunk_rng(seed: int, stream: int) -> np.random.Generator:
@@ -73,8 +83,9 @@ def _chunk_rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def _circular_normal(rng, n: int) -> np.ndarray:
-    z = rng.standard_normal(2 * n)
-    return (z[0::2] + 1j * z[1::2]) / math.sqrt(2.0)
+    z = rng.standard_normal(2 * n).view(complex)  # consecutive (re, im) pairs
+    z /= math.sqrt(2.0)
+    return z
 
 
 def _generate_ar1(config: SimulationConfig) -> np.ndarray:
@@ -111,20 +122,27 @@ def design_flat_fir(taps: int, dt: float) -> np.ndarray:
 
 
 def _generate_flat(config: SimulationConfig) -> np.ndarray:
-    from scipy.signal import oaconvolve
+    from scipy.fft import fft, ifft, next_fast_len
 
-    h = design_flat_fir(config.fir_taps, config.dt)
-    total = config.n_samples + config.fir_taps  # head discarded as warm-up
-    noise = np.empty(total, dtype=complex)
+    taps = config.fir_taps
+    total = config.n_samples + taps  # head discarded as warm-up
+    # one FFT pair per noise chunk, overlap-added into one buffer; the
+    # convolution's output past ``total`` is never kept, so it is not formed
+    nfft = next_fast_len(_CHUNK + taps - 1)
+    h_hat = fft(design_flat_fir(taps, config.dt), nfft)
+    out = np.zeros(total, dtype=complex)
     pos = 0
     stream = 1
     while pos < total:
         n = min(_CHUNK, total - pos)
-        noise[pos:pos + n] = _circular_normal(_chunk_rng(config.seed, stream), n)
+        xi = _circular_normal(_chunk_rng(config.seed, stream), n)
+        end = min(pos + n + taps - 1, total)
+        out[pos:end] += ifft(fft(xi, nfft) * h_hat)[:end - pos]
         pos += n
         stream += 1
-    w = oaconvolve(noise, h, mode="full")[config.fir_taps:config.fir_taps + config.n_samples]
-    return w / math.sqrt(float(np.mean(np.abs(w) ** 2)))
+    w = out[taps:]
+    w /= math.sqrt(float(np.vdot(w, w).real) / len(w))
+    return w
 
 
 def generate_gaussian(config: SimulationConfig) -> np.ndarray:
@@ -141,11 +159,8 @@ def dump_samples(samples: np.ndarray, path) -> None:
     self-describing.  Both files are written atomically, creating the
     directory if needed.
     """
-    samples = np.ascontiguousarray(samples, dtype=np.complex128)
-    inter = np.empty(2 * len(samples), dtype="<f8")
-    inter[0::2] = samples.real
-    inter[1::2] = samples.imag
-    atomic_write_via(path, inter.tofile)
+    samples = np.ascontiguousarray(samples, dtype="<c16")  # a complex is its (re, im) pair
+    atomic_write_via(path, samples.tofile)
     header = {
         "format": "interleaved-float64-le",
         "layout": ["re", "im"],
@@ -157,8 +172,7 @@ def dump_samples(samples: np.ndarray, path) -> None:
 
 def load_samples(path) -> np.ndarray:
     """Inverse of :func:`dump_samples`."""
-    inter = np.fromfile(path, dtype="<f8")
-    return inter[0::2] + 1j * inter[1::2]
+    return np.fromfile(path, dtype="<c16")
 
 
 @dataclass(frozen=True)
@@ -172,13 +186,14 @@ def invert(samples: np.ndarray, omega, r_ww0: float = 1.0):
     The statistics of the result depend on the mean only through its
     magnitude, so the offset is placed on the real axis.  Exact zero
     denominators are left as the IEEE division produces them (infinities) and
-    only counted, never dropped.
+    only counted, never dropped.  The result is one new array; ``samples`` is
+    left unchanged.
     """
     w = finite_nonnegative(omega, "omega")
     denom = w * math.sqrt(finite_positive(r_ww0, "process power")) + samples
     n_zero = int(np.count_nonzero(denom == 0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = 1.0 / denom
+        s = np.divide(1.0, denom, out=denom)
     return s, InversionDiagnostics(n_zero_denominators=n_zero)
 
 
@@ -250,13 +265,17 @@ def run_experiment(config: SimulationConfig, order: Optional[int] = None,
 
     The headline metrics compare the Welch estimate against the Welch
     *expectation* for the sampled process (integer-lag series covariance
-    under the window lag-taper plus the realized zero-lag variance); the
+    under the window lag-taper plus the realized Welch white floor); the
     sampled reciprocal has no finite variance, so the zero-lag term is the
-    one measured input.  A direct comparison against the midpoint-grid
-    theoretical spectrum is also reported (``direct_*``) for reference; it is
-    dominated near Nyquist by the sampling floor and lag-parity folding and
-    is not the acceptance metric; it sits on the midpoint grid of
-    segment_len / 2 lags, whose bins pair with the Welch bins by index.
+    one measured input.  It is the floor the estimate itself contains,
+    sum |windowed segment|^2 / (n_seg sum w^2), which weights each sample
+    by its window weights; the plain variance, which weights every sample
+    alike, is still reported as ``zero_lag_variance``.  A direct comparison
+    against the midpoint-grid theoretical spectrum is also reported
+    (``direct_*``) for reference; it is dominated near Nyquist by the
+    sampling floor and lag-parity folding and is not the acceptance metric;
+    it sits on the midpoint grid of segment_len / 2 lags, whose bins pair
+    with the Welch bins by index.
 
     A segment_len that ``hann_window`` or ``welch_layout`` rejects, or one
     that is odd or below 32 (DomainError), fails before any sample is drawn.
@@ -275,13 +294,13 @@ def run_experiment(config: SimulationConfig, order: Optional[int] = None,
         dump_samples(w_seq, dump_path)
     fidelity = generator_fidelity_check(config, w_seq)
     s, diag = invert(w_seq, config.omega)
+    del w_seq  # only the reciprocal is needed from here on
     empirical = welch_covariance_spectrum(s, config.dt, segment_len=segment_len)
-
-    centered = s - s.mean()
-    r0 = float(np.mean(np.abs(centered) ** 2))
+    # mean |s - mean|^2, without a centered copy of s
+    r0 = float(np.vdot(s, s).real) / len(s) - empirical.dc_line_power
     expected = welch_expected_spectrum(
         config.kernel, config.omega, order, config.dt, segment_len,
-        zero_lag_value=r0)
+        zero_lag_value=empirical.metadata["white_floor"])
 
     theoretical = theoretical_spectrum(config.kernel, config.omega, order, grid)
 

@@ -162,10 +162,17 @@ class TestSimulate:
 
     def test_byte_determinism_across_threads(self, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
-        assert run(d1, *self.ARGS) == 0
-        assert run(d2, *self.ARGS) == 0
-        for name in ("empirical.csv", "expected.csv", "theoretical.csv"):
+        assert run(d1, *self.ARGS, "--dump-samples", "w.bin") == 0
+        assert run(d2, *self.ARGS, "--dump-samples", "w.bin") == 0
+        for name in ("w.bin", "empirical.csv", "expected.csv", "theoretical.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    def test_seed_outside_the_philox_key_exits_2(self, tmp_path, capsys):
+        rc = run(tmp_path, "simulate", "--kernel", "lorentzian", "--samples", str(1 << 16),
+                 "--seed", str(2 ** 70), "--dump-samples", "w.bin")
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not list(tmp_path.iterdir())
 
     def test_invalid_dt_exits_2(self, tmp_path):
         rc = run(tmp_path, "simulate", "--kernel", "lorentzian", "--a", "2.0",

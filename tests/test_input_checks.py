@@ -91,6 +91,9 @@ ENTRY_POINTS = {
                                    [65536.5, 65536.0, math.nan]),
     "SimulationConfig.fir_taps": (lambda x: _config(fir_taps=x), ConfigError,
                                   [1025.0, 1025.5, math.nan]),
+    # the seed is the first 64-bit word of the Philox key
+    "SimulationConfig.seed": (lambda x: _config(seed=x), ConfigError,
+                              [1.5, 1.0, math.nan, -1, 2 ** 64, 2 ** 70]),
     "invert.omega": (lambda x: invert(SAMPLES, x), DomainError, BAD_OMEGA),
     "invert.r_ww0": (lambda x: invert(SAMPLES, 1.0, r_ww0=x), DomainError, NONFINITE),
     "Lorentzian.a": (lambda x: Lorentzian(a=x), DomainError, NONFINITE),

@@ -190,6 +190,25 @@ class TestWelch:
         dev_db = 10 * np.log10(spec.psd / truth)
         assert np.median(np.abs(dev_db)) < 0.25
 
+    def test_white_floor_is_the_window_weighted_variance(self):
+        rng = np.random.default_rng(12)
+        n, seglen, dt = 1 << 16, 1024, 0.3
+        w = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
+        x = 1.0 / (0.5 + w)  # heavy-tailed, as simulate's reciprocal is
+        spec = welch_covariance_spectrum(x, dt=dt, segment_len=seglen)
+        floor = spec.metadata["white_floor"]
+        # Parseval: the periodograms' mean over frequency is their diagonal part
+        assert np.mean(spec.psd) == pytest.approx(dt * floor, rel=1e-12)
+        # sum_k W_k |x_k - mean|^2, W_k the segments' squared window weights at k
+        win = hann_window(seglen)
+        n_seg = spec.metadata["n_segments"]
+        weight = np.zeros(n)
+        for start in range(0, n_seg * seglen // 2, seglen // 2):
+            weight[start:start + seglen] += win ** 2
+        weight /= n_seg * np.sum(win ** 2)
+        direct = float(np.sum(weight * np.abs(x - x.mean()) ** 2))
+        assert floor == pytest.approx(direct, rel=1e-12)
+
     def test_phase_rotation_invariance(self):
         rng = np.random.default_rng(5)
         x = (rng.standard_normal(1 << 16) + 1j * rng.standard_normal(1 << 16))

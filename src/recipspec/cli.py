@@ -52,14 +52,16 @@ class Option:
 
 _COMMON = (Option("out_dir", default=".", help="output directory"),)
 
-_KERNEL = (
-    Option("kernel", default="lorentzian", help="correlation kernel",
-           choices=("lorentzian", "gaussian", "flatband", "doppler_lorentzian",
-                    "tabulated")),
-    Option("a", float, 1.0, "decay rate"),
-    Option("beta", float, 0.0, "frequency offset"),
-    Option("table", help="CSV path for tabulated kernels"),
-)
+
+def _kernel(*choices: str) -> Option:
+    return Option("kernel", default="lorentzian", help="correlation kernel", choices=choices)
+
+
+_ANALYTIC = ("lorentzian", "gaussian", "flatband", "doppler_lorentzian")
+_A = Option("a", float, 1.0, "decay rate")
+_BETA = Option("beta", float, 0.0, "frequency offset")
+_KERNEL = (_kernel(*_ANALYTIC, "tabulated"), _A, _BETA,
+           Option("table", help="CSV path for tabulated kernels"))
 
 _FORMAT = (Option("format", default="csv", help="output file format",
                   choices=("csv", "json")),)
@@ -124,7 +126,8 @@ def _emit(manifest: RunManifest, name: str, content) -> None:
 
 
 def _kernel_from(p: dict):
-    return make_kernel(p["kernel"], a=p["a"], beta=p["beta"], table_path=p["table"])
+    return make_kernel(p["kernel"], a=p["a"], beta=p.get("beta", 0.0),
+                       table_path=p.get("table"))
 
 
 def cmd_coeffs(p: dict, manifest: RunManifest) -> int:
@@ -227,7 +230,8 @@ COMMANDS = {
         Option("dtau", float, 0.05, "midpoint lag spacing"),
         Option("half_points", int, 512, "lags on each side of the origin"),
     ), cmd_spectrum),
-    "simulate": ("simulate, invert, and compare spectra", _COMMON + _KERNEL + (
+    "simulate": ("simulate, invert, and compare spectra", _COMMON + (
+        _kernel("lorentzian", "flatband"), _A,
         Option("seed", int, 12345, "RNG seed"),
         Option("omega", float, 0.0, "offset"),
         Option("order", int, None, "series order (default 10 for flatband, else 20)"),
@@ -237,7 +241,8 @@ COMMANDS = {
         Option("segment_len", int, 4096, "Welch segment length"),
         Option("dump_samples", help="also dump the raw generated stream to this file"),
     ), cmd_simulate),
-    "bounds": ("integrability report for a kernel", _COMMON + _KERNEL, cmd_bounds),
+    "bounds": ("integrability report for a kernel", _COMMON + (
+        _kernel(*_ANALYTIC), _A, _BETA), cmd_bounds),
     "validate": ("run the acceptance checks", _COMMON + (
         Option("profile", default="quick", help="check profile", choices=("quick", "full")),
     ), cmd_validate),

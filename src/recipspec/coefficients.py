@@ -18,17 +18,20 @@ Every Omega_n value comes from omega_n_over_grid over an array of r, which
 sends each lane down exactly one of three paths:
 
 * |r| < SMALL_R_THRESHOLD: the sum's terms cancel to the limit omega_limit(n),
-  so Omega_n is the Taylor polynomial in (r, conj(r)), whose coefficients are
-  summed in exact rationals and rounded once;
+  so Omega_n is the Taylor polynomial in (r, conj(r)) of degree
+  SMALL_R_DEGREE, each coefficient rounded once;
 * real r with |r| >= CLOSED_FORM_THRESHOLD: the closed form
-  Omega_n = A_n(r) + B_n(r) ln(1-r^2), derived per call in exact integers
+  Omega_n = sum_i beta_i (1+r)^-i + b r^-(n/2+1) [ln(1-r^2) + polynomial]
   (see _closed_form_terms); it costs a fixed number of flops whatever r is,
   and each lane's value depends on that lane alone;
 * every other lane, complex r included: the double sum.  It cancels
   increasingly violently as |r| -> 1 and n grows, so complex r near |r| = 1
   at high orders is not accurate (README, "High orders").
 
-omega_n_general is the one-lane case of omega_n_over_grid.
+Both exact paths take their coefficients from one exact Taylor expansion of
+the double sum at r = 0 (_expansion), in integers over one common
+denominator, derived on each call.  omega_n_general is the one-lane case of
+omega_n_over_grid.
 """
 
 from __future__ import annotations
@@ -37,11 +40,10 @@ import csv
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedOrderError
+from .errors import DomainError, UnsupportedOrderError, integer_at_least
 from .kernels import CorrelationKernel
 from .specfun import gauss_2f1_regularized_grid
 
@@ -69,9 +71,7 @@ def omega_limit(n: int) -> float:
     Evaluated in exact integer arithmetic before the final float conversion.
     Zero for n = 0 and for all odd n.
     """
-    if n < 0:
-        raise DomainError("order must be nonnegative")
-    if n % 2 == 1:
+    if integer_at_least(n, "order", 0) % 2 == 1:
         return 0.0
     m = n // 2
     num = 2 * (2 ** m - 1) * math.factorial(n)
@@ -84,7 +84,7 @@ def omega_bound(n: int, abs_r):
     Valid for even n >= 2 and |r| < 1 (one value or an array).  Loose by design;
     used as an inequality gate and as the term majorant behind series tail estimates.
     """
-    if n < 2 or n % 2 == 1:
+    if integer_at_least(n, "order", 2) % 2 == 1:
         raise DomainError("bound defined for even n >= 2")
     abs_r = np.asarray(abs_r, dtype=float)
     bad = ~((0.0 <= abs_r) & (abs_r < 1.0))
@@ -118,29 +118,44 @@ def _rising(x: int, m: int) -> int:
     return math.prod(range(x, x + m))
 
 
-def _taylor_terms(n: int) -> list:
-    """Taylor polynomial of Omega_n in (r, conj(r)) to total degree SMALL_R_DEGREE.
+def _expansion(n: int, degree: int):
+    """Taylor expansion of Omega_n in (r, conj(r)) to total degree ``degree``, exactly.
 
     Term m of 2F1reg(a, b; c; |r|^2) * conj(r)^p is the monomial
-    r^m conj(r)^(m+p), with coefficient (a)_m (b)_m / (m! Gamma(c+m)).  The
-    coefficients of each monomial are summed exactly and rounded once.  As
+    r^m conj(r)^(m+p), with coefficient (a)_m (b)_m / (m! Gamma(c+m)).  As
     c = p + 1, the poles of 1/Gamma leave no negative power of conj(r).
-    Returns (coefficient, power of r, power of conj(r)) from the highest
-    degree down, so the constant term omega_limit(n) is added last.
+    Returns (coef, den): coef[i, e] / den is the coefficient of r^i conj(r)^e,
+    with coef a dict of Python integers in order of first appearance.  Each
+    term's factorials have arguments summing to h+2m+1 <= n+h+degree, so their
+    product divides den = (n+h+degree)!.
     """
     h = n // 2
-    coef = defaultdict(Fraction)
+    den = math.factorial(n + h + degree)
+    coef = defaultdict(int)
     for k in range(n + 1):
         for j in range(min(k, h) + 1):
             a, b, c, p = 1 + j, 1 + j - k + h, 2 + 2 * j - k, 2 * j - k + 1
-            # 1/Gamma(c+m) vanishes for m < 1 - c
-            for m in range(max(0, 1 - c), (SMALL_R_DEGREE - p) // 2 + 1):
-                num = (-1) ** (k + h) * math.factorial(n) * _rising(a, m) * _rising(b, m)
-                den = (math.factorial(h - j) * math.factorial(k - j) * math.factorial(m)
-                       * math.factorial(c + m - 1))
-                coef[m, m + p] += Fraction(num, den)
-    assert not any(v for (_, e), v in coef.items() if e < 0), "negative powers of conj(r) remain"
-    return [(float(v), i, e) for (i, e), v in sorted(coef.items(), key=lambda t: -sum(t[0])) if v]
+            # 1/Gamma(c+m) vanishes for m < 1 - c; each later term is the last
+            # times (a+m)(b+m) / ((m+1)(c+m))
+            m = max(0, 1 - c)
+            t = (den * (-1) ** (k + h) * math.factorial(n) * _rising(a, m) * _rising(b, m)
+                 // (math.factorial(h - j) * math.factorial(k - j) * math.factorial(m)
+                     * math.factorial(c + m - 1)))
+            for m in range(m, (degree - p) // 2 + 1):
+                coef[m, m + p] += t
+                t = t * (a + m) * (b + m) // ((m + 1) * (c + m))
+    return coef, den
+
+
+def _taylor_terms(n: int) -> list:
+    """Taylor polynomial of Omega_n in (r, conj(r)) to total degree SMALL_R_DEGREE.
+
+    Each coefficient of :func:`_expansion` is rounded once.  Returns
+    (coefficient, power of r, power of conj(r)) from the highest degree down,
+    so the constant term omega_limit(n) is added last.
+    """
+    coef, den = _expansion(n, SMALL_R_DEGREE)
+    return [(v / den, i, e) for (i, e), v in sorted(coef.items(), key=lambda t: -sum(t[0])) if v]
 
 
 def _taylor(n: int, r):
@@ -153,65 +168,37 @@ def _closed_form_terms(n: int):
     """Exact coefficients of Omega_n for real r, as (beta, b) with h = n/2:
 
         Omega_n = sum_{i=1..h} beta[i-1] / (1+r)^i
-                  + b r^-(h+1) [ln(1-r^2) + sum_{k=1..h//2} r^(2k)/k].
+                  + b r^-(h+1) [ln(1-r^2) + sum_{k=1..h//2} r^(2k)/k],
 
-    Euler's transformation 2F1reg(a,b;c;z) = (1-z)^(c-a-b) 2F1reg(c-a,c-b;c;z)
-    has c-a-b = -h for every (k, j) term, and 2F1reg(1+j-k, 1+j-h; c; z) is a
-    polynomial except at k = j = h.  There 2F1reg(1,1;h+2;z) is elementary by
-    the Beta integral, (1/h!) int_0^1 (1-t)^h / (1-zt) dt, which gives the
-    logarithm with b = -(-1)^h n!/h! and a rational part.  So
-    Omega_n = Q(r) / (r^(h-1) (1-r^2)^h) + b r^-(h+1) ln(1-r^2), where Q has
-    rational coefficients; they are kept as integers over the common
-    denominator D = (3h+1)!.  Then:
+    with b = -(-1)^h n!/h!.  The bracket is -sum_{m>h//2} r^(2m)/m, so the
+    form says that f = Omega_n + b sum_{m>h//2} r^(2m-h-1)/m is a rational
+    function whose only pole is one of order at most h at r = -1.  (For real r
+    Euler's transformation turns every 2F1 term of the double sum into a
+    polynomial over (1-r^2)^h, except 2F1reg(1,1;h+2;r^2), which is that
+    logarithm plus a rational part; Omega_n has no pole at r = 1 or r = 0.)
+    So f (1+r)^h is a polynomial P of degree below h, and:
 
-    * (1-r)^h divides Q exactly (asserted), since Omega_n has no pole at r = 1;
-    * the quotient over r^(h-1) (1+r)^h has no polynomial part, and its part
-      in 1/r^i is asserted to be minus the one of b r^-(h+1) ln(1-r^2), as
-      Omega_n is finite at r = 0; the two are merged into the bracket above;
-    * its part in 1/(1+r)^i is beta, from the Taylor expansion at r = -1.
+    * P is f (1+r)^h's Taylor series at r = 0 cut below degree h; f's
+      coefficient of r^d is the sum of :func:`_expansion`'s coefficients of
+      degree d, plus the sum's;
+    * the degrees h, h+1 and h+2 of f (1+r)^h are asserted to vanish;
+    * beta[i-1] is the coefficient of s^(h-i) in P(s-1), s = 1+r.
 
-    Each beta is rounded once from its exact value.
+    Each beta is rounded once from its exact value (int / int true division
+    rounds correctly).
     """
     h = n // 2
-    den_all = math.factorial(3 * h + 1)
-    fac_n = math.factorial(n)
-    b = -(-1) ** h * fac_n // math.factorial(h)
-    # coefficients of r^i of r^(h-1) (1-r^2)^h times the rational part, times den_all
-    q = [0] * max(n + h - 1, 0)
-    for k in range(n + 1):
-        for j in range(min(k, h) + 1):
-            if k == j == h:
-                continue
-            # Euler-transformed parameters; one of them is <= 0 and ends the series
-            ea, eb, c, p = 1 + j - k, 1 + j - h, 2 + 2 * j - k, 2 * j - k + 1
-            # 1/Gamma(c+m) vanishes for m < 1 - c; m < h, so the factorials
-            # of den have arguments summing to h+2m+1 < 3h and divide den_all
-            for m in range(max(0, 1 - c), min(-x for x in (ea, eb) if x <= 0) + 1):
-                num = (-1) ** (k + h) * fac_n * _rising(ea, m) * _rising(eb, m)
-                den = (math.factorial(h - j) * math.factorial(k - j) * math.factorial(m)
-                       * math.factorial(c + m - 1))
-                q[2 * m + p + h - 1] += den_all * num // den
-    # k = j = h: n!/h! r^(h+1) sum_{i<h} (-(1-r^2))^i / ((h-i) r^(2i+2))
-    for i in range(h):
-        lead = den_all * fac_n // (math.factorial(h) * (h - i))
-        for l in range(i + 1):
-            q[2 * (h - 1 - i + l)] += (-1) ** (i + l) * math.comb(i, l) * lead
-    for _ in range(h):  # q / (1 - r): running sums, remainder q(1)
-        for i in range(1, len(q)):
-            q[i] += q[i - 1]
-        assert q.pop() == 0, f"(1-r)^{h} does not divide the numerator of Omega_{n}"
-    # Taylor coefficients of q / (1+r)^h at r = 0: the part in 1/r^(h-1-i)
-    for i in range(h - 1):
-        e = sum(q[l] * (-1) ** (i - l) * math.comb(h + i - l - 1, i - l) for l in range(i + 1))
-        assert (e * (i // 2 + 1) == b * den_all if i % 2 == 0 else e == 0), \
-            f"Omega_{n} is not finite at r = 0"
-    # Taylor coefficients at s = 1 + r of q(s-1) / (s-1)^(h-1): the part in 1/s^(h-i)
-    for i in range(len(q)):
-        for l in range(len(q) - 2, i - 1, -1):
-            q[l] -= q[l + 1]
-    inv = [(-1) ** (h - 1) * math.comb(h + i - 2, i) if h > 1 else int(i == 0) for i in range(h)]
-    beta = [sum(q[l] * inv[h - i - l] for l in range(h - i + 1)) / den_all
-            for i in range(1, h + 1)]
+    b = -(-1) ** h * math.factorial(n) // math.factorial(h)
+    coef, den = _expansion(n, h + 2)
+    f = [0] * (h + 3)  # real-r Taylor coefficients of f, times den
+    for (i, e), v in coef.items():
+        f[i + e] += v
+    for m in range(h // 2 + 1, h + 2):
+        f[2 * m - h - 1] += b * den // m
+    g = [sum(math.comb(h, l) * f[d - l] for l in range(min(d, h) + 1)) for d in range(h + 3)]
+    assert not any(g[h:]), f"Omega_{n} is not of the closed form's shape"
+    beta = [sum((-1) ** (d - t) * math.comb(d, t) * g[d] for d in range(t, h)) / den
+            for t in reversed(range(h))]
     return beta, b
 
 
@@ -252,9 +239,7 @@ def omega_n_general(n: int, r: complex) -> complex:
     that function's value on a one-element grid.  Odd n returns exactly 0
     without evaluating anything.
     """
-    if n < 0:
-        raise DomainError("order must be nonnegative")
-    if n % 2 == 1:
+    if integer_at_least(n, "order", 0) % 2 == 1:
         return 0.0 + 0.0j
     return complex(omega_n_over_grid(n, complex(r)))
 
@@ -327,8 +312,7 @@ def omega_n_over_grid(n: int, r: np.ndarray) -> np.ndarray:
     The first two paths work lane by lane, so there a lane's value is bitwise
     the same alone as inside any grid.  Odd n gives zeros.
     """
-    if n < 0:
-        raise DomainError("order must be nonnegative")
+    integer_at_least(n, "order", 0)
     r = np.asarray(r, dtype=complex)
     mag = np.abs(r)
     if mag.size and not mag.max() < 1.0:
@@ -388,16 +372,17 @@ def build_table(kernel: CorrelationKernel, lags, max_order: int) -> CoefficientT
 
     The grid must not contain tau = 0, where |r| = 1 and every coefficient
     diverges; midpoint grids (tau = (k+1/2) dtau) are the intended callers.
+    An empty grid gives an empty table.
     """
-    if max_order % 2 == 1 or max_order < 0:
-        raise DomainError("max_order must be even and nonnegative")
+    if integer_at_least(max_order, "max_order", 0) % 2 == 1:
+        raise DomainError("max_order must be even")
     lags = np.asarray(lags, dtype=float)
     if np.any(lags == 0.0):
         raise DomainError(
             "lag grid contains tau = 0 (|r| = 1 singularity); "
             "use a midpoint grid that excludes the origin")
     r = np.asarray(kernel.eval(lags), dtype=complex)
-    if not np.abs(r).max() < 1.0:
+    if not np.all(np.abs(r) < 1.0):  # a NaN fails too
         raise DomainError("kernel reaches |r| = 1 on this grid")
     orders = list(range(0, max_order + 1, 2))
     values = np.empty((len(orders), len(lags)), dtype=complex)

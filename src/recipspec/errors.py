@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the one check applied to
+"""Exception types shared across the package, and the checks applied to
 every number that enters it from outside."""
 
 import math
+import numbers
 
 
 class DomainError(ValueError):
@@ -37,6 +38,15 @@ def finite_positive(value, name: str, error=DomainError) -> float:
     if not (math.isfinite(x) and x > 0.0):
         raise error(f"{name} must be finite and > 0, got {x!r}")
     return x
+
+
+def integer_at_least(value, name: str, least: int, error=DomainError) -> int:
+    """Return ``int(value)`` if it is an integer (a numpy integer counts, a bool
+    does not) and >= ``least``, else raise ``error``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 class AccuracyError(RuntimeError):

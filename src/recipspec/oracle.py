@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, finite_nonnegative, finite_positive
+from .errors import (AccuracyError, DomainError, finite_nonnegative, finite_positive,
+                     integer_at_least)
 
 
 @dataclass(frozen=True)
@@ -41,9 +42,7 @@ class QuadratureSpec:
 
     def __post_init__(self):
         for name in ("angular_nodes", "radial_nodes"):
-            count = getattr(self, name)
-            if not isinstance(count, (int, np.integer)) or count < 8:
-                raise DomainError(f"{name} must be an integer >= 8, got {count!r}")
+            integer_at_least(getattr(self, name), name, 8)
         if finite_positive(self.v_max, "v_max") < 8.0:
             raise DomainError(f"v_max must be >= 8, got {self.v_max!r}")
         finite_positive(self.target_abs_tol, "target_abs_tol")
@@ -68,33 +67,6 @@ class McResult:
     stderr: float
     n_samples: int
     n_batches: int
-
-
-class JointCovariance:
-    """4x4 real covariance of (a(t), b(t), a(t+tau), b(t+tau)), scaled by R_ww(0)/2."""
-
-    def __init__(self, r: complex, r_ww0: float = 1.0):
-        r = complex(r)
-        if abs(r) > 1.0:
-            raise DomainError("|r| must be <= 1")
-        rho, mu = r.real, -r.imag
-        half = r_ww0 / 2.0
-        self.matrix = half * np.array([
-            [1.0, 0.0, rho, -mu],
-            [0.0, 1.0, mu, rho],
-            [rho, mu, 1.0, 0.0],
-            [-mu, rho, 0.0, 1.0],
-        ])
-        eigmin = float(np.linalg.eigvalsh(self.matrix).min())
-        if eigmin < -1e-12 * r_ww0:
-            raise DomainError(f"covariance not PSD (min eigenvalue {eigmin})")
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw n joint samples (rows) via Cholesky with eigenvalue flooring."""
-        vals, vecs = np.linalg.eigh(self.matrix)
-        vals = np.clip(vals, 0.0, None)
-        root = vecs @ np.diag(np.sqrt(vals))
-        return rng.standard_normal((n, 4)) @ root.T
 
 
 def _radial_rule(spec: QuadratureSpec):
@@ -212,8 +184,8 @@ def omega_n_quadrature(n: int, r: complex,
     Limited to n <= 8: the polynomial factor (v1 cos q1 + v2 cos q2)^n raises
     the radial node demand with n.
     """
-    if not isinstance(n, (int, np.integer)) or not 0 <= n <= 8:
-        raise DomainError(f"omega_n_quadrature supports integer 0 <= n <= 8, got {n!r}")
+    if integer_at_least(n, "order", 0) > 8:
+        raise DomainError(f"omega_n_quadrature supports orders up to 8, got {n!r}")
     r = complex(r)
     if not abs(r) < 1.0:
         raise DomainError(f"quadrature requires |r| < 1, got {abs(r)}")
@@ -233,14 +205,12 @@ def rss_montecarlo(r: complex, omega, n_samples: int, seed: int,
     r = complex(r)
     if not abs(r) < 1.0:
         raise DomainError(f"Monte Carlo requires |r| < 1, got {abs(r)}")
-    if n_batches < 100:
-        raise DomainError("need at least 100 batches for the stderr estimate")
+    # at least 100 batches for the stderr estimate, of at least 2 samples each
+    integer_at_least(n_batches, "n_batches", 100)
+    integer_at_least(n_samples, "n_samples", 2 * n_batches)
     w = finite_nonnegative(omega, "omega")
-    JointCovariance(r)  # structural validation of the implied joint law
     rng = np.random.default_rng(seed)
     batch = n_samples // n_batches
-    if batch < 2:
-        raise DomainError("n_samples too small for the batch layout")
     cross = math.sqrt(1.0 - abs(r) ** 2)
     means = np.empty(n_batches, dtype=complex)
     for b in range(n_batches):
@@ -262,8 +232,7 @@ def angular_struve_check(x: float, n_nodes: int = 1 << 20) -> float:
     modified Struve function L0(x).
     """
     x = finite_nonnegative(x, "angular_struve_check x")
-    if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 1:
-        raise DomainError(f"n_nodes must be an integer >= 1, got {n_nodes!r}")
+    integer_at_least(n_nodes, "n_nodes", 1)
     # node j and node n_nodes - j share a cosine: sum the open half circle twice
     half = (n_nodes + 1) // 2
     total = 0.0

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (ConfigError, DomainError, StatisticalQualityError,
-                     finite_nonnegative, finite_positive)
+                     finite_nonnegative, finite_positive, integer_at_least)
 from .kernels import CorrelationKernel, FlatBand, Lorentzian
 from .manifest import atomic_write_text, atomic_write_via, dump_json
 from .spectrum import (SpectrumResult, theoretical_spectrum, TauGrid, hann_window,
@@ -62,20 +62,18 @@ class SimulationConfig:
             raise ConfigError("simulation supports Lorentzian and FlatBand kernels")
         finite_nonnegative(self.omega, "omega", ConfigError)
         finite_positive(self.dt, "dt", ConfigError)
-        if not isinstance(self.n_samples, (int, np.integer)) or self.n_samples < 2 ** 16:
-            raise ConfigError(f"n_samples must be an integer >= 2^16, got {self.n_samples!r}")
+        integer_at_least(self.n_samples, "n_samples", 2 ** 16, ConfigError)
         if isinstance(self.kernel, Lorentzian) and self.kernel.a * self.dt >= 0.5:
             raise ConfigError(
                 f"a*dt = {self.kernel.a * self.dt} too coarse to resolve the "
                 "correlation (need a*dt < 0.5)")
         if isinstance(self.kernel, FlatBand) and self.dt > math.pi / 2:
             raise ConfigError("FlatBand requires dt <= pi/2 (band inside Nyquist)")
-        if (not isinstance(self.fir_taps, (int, np.integer)) or self.fir_taps < 3
-                or self.fir_taps % 2 == 0):
-            raise ConfigError(f"fir_taps must be an odd integer >= 3, got {self.fir_taps!r}")
+        if integer_at_least(self.fir_taps, "fir_taps", 3, ConfigError) % 2 == 0:
+            raise ConfigError(f"fir_taps must be odd, got {self.fir_taps!r}")
         # the seed is the first word of the 128-bit Philox key
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= int(self.seed) < 2 ** 64:
-            raise ConfigError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        if integer_at_least(self.seed, "seed", 0, ConfigError) >= 2 ** 64:
+            raise ConfigError(f"seed must be below 2^64, got {self.seed!r}")
 
 
 def _chunk_rng(seed: int, stream: int) -> np.random.Generator:
@@ -204,7 +202,7 @@ def empirical_acf(samples: np.ndarray, max_lag: int) -> np.ndarray:
     """
     x = np.asarray(samples)
     n = len(x)
-    if max_lag >= n // 10:
+    if integer_at_least(max_lag, "max_lag", 0) >= n // 10:
         raise DomainError("max_lag must be below n_samples/10")
     x = x - x.mean()
     return np.array([np.vdot(x[:n - m], x[m:]) for m in range(max_lag + 1)]) / n
@@ -277,12 +275,15 @@ def run_experiment(config: SimulationConfig, order: Optional[int] = None,
     it sits on the midpoint grid of segment_len / 2 lags, whose bins pair
     with the Welch bins by index.
 
-    A segment_len that ``hann_window`` or ``welch_layout`` rejects, or one
-    that is odd or below 32 (DomainError), fails before any sample is drawn.
+    A segment_len that ``hann_window`` or ``welch_layout`` rejects, one that
+    is odd or below 32, or an order that is not an even integer >= 0
+    (DomainError), fails before any sample is drawn.
     """
     if order is None:
         order = 10 if isinstance(config.kernel, FlatBand) else 20
-    # a bad segment length fails before any sample is drawn
+    # a bad order or segment length fails before any sample is drawn
+    if integer_at_least(order, "order", 0) % 2 == 1:
+        raise DomainError(f"order must be even, got {order}")
     hann_window(segment_len)
     welch_layout(config.n_samples, segment_len)
     if segment_len % 2:

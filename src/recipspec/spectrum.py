@@ -25,7 +25,7 @@ import numpy as np
 
 from .coefficients import build_table
 from .errors import (ConsistencyError, DomainError, StatisticalQualityError,
-                     finite_nonnegative, finite_positive)
+                     finite_nonnegative, finite_positive, integer_at_least)
 from .kernels import CorrelationKernel, FlatBand
 from .series import SeriesEvaluation, asymptotic_floor, partial_sum, tail_bound
 
@@ -33,6 +33,8 @@ from .series import SeriesEvaluation, asymptotic_floor, partial_sum, tail_bound
 _TAPER_FRACTION = 0.1
 #: share of each Welch segment that overlaps the next
 WELCH_OVERLAP = 0.5
+#: samples of the segments one Welch block forms at once (512 segments of 4096)
+_WELCH_BLOCK_SAMPLES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -47,8 +49,7 @@ class TauGrid:
 
     def __post_init__(self):
         finite_positive(self.dtau, "dtau")
-        if not isinstance(self.half_points, (int, np.integer)) or self.half_points < 16:
-            raise DomainError(f"half_points must be an integer >= 16, got {self.half_points!r}")
+        integer_at_least(self.half_points, "half_points", 16)
 
     def positive_lags(self) -> np.ndarray:
         return (np.arange(self.half_points) + 0.5) * self.dtau
@@ -187,10 +188,9 @@ def theoretical_spectrum(kernel: CorrelationKernel, omega, order: int,
 def hann_window(n: int) -> np.ndarray:
     """Periodic Hann window for segment periodograms of n >= 2 samples.
 
-    Raises DomainError for n < 2.
+    Raises DomainError for an n that is not an integer >= 2.
     """
-    if n < 2:
-        raise DomainError(f"segment_len must be >= 2, got {n}")
+    n = integer_at_least(n, "segment_len", 2)
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
@@ -224,9 +224,10 @@ def welch_covariance_spectrum(samples: np.ndarray, dt: float,
     The global sample mean is removed (taking out the discrete line at the
     origin), Hann-windowed segments overlapping by ``WELCH_OVERLAP`` are
     transformed and the mean of their periodograms is scaled to power per
-    unit frequency.  Segments are formed in blocks, and the mean is
-    subtracted within each block, so no full-length copy of ``samples`` is
-    made.
+    unit frequency.  Segments are formed in blocks of at most
+    ``_WELCH_BLOCK_SAMPLES`` samples, and the mean is subtracted within each
+    block, so no full-length copy of ``samples`` is made and the blocks' size
+    does not depend on ``segment_len``.
 
     ``metadata["white_floor"]`` is the realized white floor
     sum |windowed segment|^2 / (n_seg sum w^2): the frequency-independent
@@ -239,7 +240,7 @@ def welch_covariance_spectrum(samples: np.ndarray, dt: float,
     mean = complex(x.mean())
     idx = np.arange(segment_len)
     starts = np.arange(n_seg) * step
-    block = 512  # bounded memory; block boundaries do not affect the result
+    block = max(1, _WELCH_BLOCK_SAMPLES // segment_len)  # segments per block
     total = np.zeros(segment_len)
     segment_power = 0.0
     for lo in range(0, n_seg, block):

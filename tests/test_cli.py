@@ -182,7 +182,8 @@ class TestSimulate:
     @pytest.mark.parametrize("flag, value", [
         ("--segment-len", "0"), ("--segment-len", "1"), ("--segment-len", "-4"),
         ("--segment-len", "16384"), ("--segment-len", "131072"),
-        ("--segment-len", "16"), ("--segment-len", "1025")])
+        ("--segment-len", "16"), ("--segment-len", "1025"), ("--order", "3"),
+        ("--order", "-2")])
     def test_bad_welch_setting_exits_2_before_sampling(self, tmp_path, capsys, flag, value):
         rc = run(tmp_path, "simulate", "--kernel", "lorentzian", "--samples", str(1 << 16),
                  "--dump-samples", "samples.bin", flag, value)
@@ -270,7 +271,11 @@ class TestConfigFile:
         ("simulate", "format=json"), ("bounds", "format=json"), ("validate", "format=json"),
         ("coeffs", "format=xml"), ("validate", "profile=fast"), ("coeffs", "kernel=LORENTZIAN"),
         ("coeffs", "seed=1"), ("spectrum", "seed=1"), ("bounds", "seed=1"),
-        ("validate", "seed=1")])
+        ("validate", "seed=1"),
+        # simulate runs the Lorentzian and flat-band kernels; bounds certifies analytic ones
+        ("simulate", "beta=3"), ("simulate", "table=t.csv"), ("simulate", "kernel=gaussian"),
+        ("simulate", "kernel=doppler_lorentzian"), ("simulate", "kernel=tabulated"),
+        ("bounds", "table=t.csv"), ("bounds", "kernel=tabulated")])
     def test_bad_config_exits_2_before_writing(self, tmp_path, capsys, command, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
@@ -284,6 +289,18 @@ class TestConfigFile:
 def test_format_flag_only_on_coeffs_and_spectrum(tmp_path, command):
     with pytest.raises(SystemExit) as exc:
         run(tmp_path, command, "--format", "json")
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, args", [
+    ("simulate", ["--beta", "3"]), ("simulate", ["--table", "t.csv"]),
+    ("simulate", ["--kernel", "gaussian"]), ("simulate", ["--kernel", "doppler_lorentzian"]),
+    ("simulate", ["--kernel", "tabulated"]), ("bounds", ["--table", "/nonexistent.csv"]),
+    ("bounds", ["--kernel", "tabulated"])])
+def test_kernel_options_a_subcommand_cannot_use_exit_2(tmp_path, command, args):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, *args)
     assert exc.value.code == 2
     assert not list(tmp_path.iterdir())
 

@@ -5,6 +5,7 @@ tests, so each assertion carries its own oracle.
 """
 
 import cmath
+import hashlib
 import math
 
 import mpmath as mp
@@ -14,9 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from recipspec.coefficients import (CLOSED_FORM_THRESHOLD, SMALL_R_THRESHOLD,
                                     _closed_form, _closed_form_terms, _double_sum,
-                                    _taylor, build_table, omega0_closed, omega2_closed,
-                                    omega_bound, omega_limit, omega_n_closed_real,
-                                    omega_n_general, omega_n_over_grid, omega_prime)
+                                    _taylor, _taylor_terms, build_table, omega0_closed,
+                                    omega2_closed, omega_bound, omega_limit,
+                                    omega_n_closed_real, omega_n_general, omega_n_over_grid,
+                                    omega_prime)
 from recipspec.errors import DomainError, UnsupportedOrderError
 from recipspec.kernels import DopplerLorentzian, FlatBand, Lorentzian
 from recipspec.specfun import REL_TOL, gauss_2f1_regularized, gauss_2f1_regularized_grid
@@ -181,6 +183,14 @@ class TestClosedFormPath:
             assert len(beta) == h
             assert b == -(-1) ** h * math.factorial(n) // math.factorial(h)
 
+    def test_rounded_terms_are_pinned_for_every_even_order_to_40(self):
+        # SHA-256 of the repr of both rounded expansions, from an independent
+        # derivation: the closed form by Euler's transformation, a Beta integral
+        # and partial fractions, the Taylor terms summed as Fractions
+        text = repr([(_taylor_terms(n), _closed_form_terms(n)) for n in range(0, 41, 2)])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "430fbd56de444b2727e4cd166c0655708b7ba9e8ee101e9b667d812a2b980fd1")
+
     def test_terms_are_the_hand_written_forms(self):
         # omega_n_closed_real: 2 ln / r^2 + 4/(1+r), ..., 120 ln / r^4 + 320/(1+r)^3 + ...
         assert _closed_form_terms(0) == ([], -1)
@@ -314,6 +324,12 @@ class TestBuildTable:
         table = build_table(Lorentzian(1.0), [0.5, 1.0, 2.0], max_order=0)
         assert table.orders == [0]
         assert table.values.shape == (1, 3)
+
+    def test_empty_grid_gives_empty_table(self):
+        table = build_table(Lorentzian(1.0), [], max_order=4)
+        assert table.orders == [0, 2, 4]
+        assert table.values.shape == table.centered.shape == (3, 0)
+        assert table.rows() == []
 
     def test_zero_lag_rejected(self):
         with pytest.raises(DomainError, match="midpoint"):

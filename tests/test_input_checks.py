@@ -14,24 +14,29 @@ from hypothesis import given, settings, strategies as st
 from recipspec import spectrum
 from recipspec.bounds import (gaussian_l1_bound, l1_integrand, lorentzian_l1_bound,
                               lorentzian_l1_numeric)
-from recipspec.coefficients import build_table, omega_n_general, omega_n_over_grid
+from recipspec.coefficients import (build_table, omega_bound, omega_limit, omega_n_general,
+                                    omega_n_over_grid)
 from recipspec.errors import ConfigError, DomainError
 from recipspec.kernels import DopplerLorentzian, GaussianKernel, Lorentzian, Tabulated
 from recipspec.oracle import (QuadratureSpec, angular_struve_check, omega_n_quadrature,
                               rss_montecarlo, rss_quadrature)
 from recipspec.series import asymptotic_floor, autocorrelation, autocovariance, floor_partial
-from recipspec.simulator import SimulationConfig, invert
+from recipspec.simulator import SimulationConfig, empirical_acf, invert
 from recipspec.specfun import gauss_2f1_regularized_grid, hyp3f2_zero_balanced, struve_l0
-from recipspec.spectrum import (TauGrid, theoretical_spectrum,
+from recipspec.spectrum import (TauGrid, hann_window, theoretical_spectrum,
                                 welch_covariance_spectrum, welch_expected_spectrum)
 
 NONFINITE = [math.nan, math.inf, -math.inf]
 BAD_OMEGA = NONFINITE + [-0.5]
-BAD_SEGMENT_LEN = [0, 1, -4]
+BAD_SEGMENT_LEN = [0, 1, -4, 64.0, 64.5]
+#: orders and counts must be integers (a numpy integer is one, a bool is not)
+BAD_ORDER = [2.5, 4.0, True, math.nan, -2]
 BAD_UNIT_INTERVAL = [math.nan, math.inf, -0.1, 1.0]
 BAD_NODE_COUNT = [8.5, math.nan, 7]
 GRID = TauGrid(dtau=0.1, half_points=16)
 SAMPLES = np.ones(4, dtype=complex)
+#: long enough for 64-sample Welch segments
+WELCH_SAMPLES = np.ones(64 * 20, dtype=complex)
 
 
 def _config(**kw):
@@ -40,26 +45,34 @@ def _config(**kw):
     return SimulationConfig(**base)
 
 
-def _welch(omega=0.5, dt=0.1, segment_len=64, zero_lag_value=1.0):
-    return welch_expected_spectrum(Lorentzian(1.0), omega, 4, dt, segment_len, zero_lag_value)
+def _welch(omega=0.5, dt=0.1, segment_len=64, zero_lag_value=1.0, order=4):
+    return welch_expected_spectrum(Lorentzian(1.0), omega, order, dt, segment_len,
+                                   zero_lag_value)
 
 
 #: name -> (call taking the bad number, expected exception, bad numbers)
 ENTRY_POINTS = {
     "autocorrelation.omega": (lambda x: autocorrelation(0.5, x, 4), DomainError, BAD_OMEGA),
     "autocorrelation.r": (lambda x: autocorrelation(x, 0.5, 4), DomainError, NONFINITE),
+    "autocorrelation.order": (lambda x: autocorrelation(0.5, 0.5, x), DomainError,
+                              BAD_ORDER + [3]),
+    "omega_n_general.n": (lambda x: omega_n_general(x, 0.5), DomainError, BAD_ORDER),
+    "omega_limit.n": (omega_limit, DomainError, BAD_ORDER),
+    "omega_bound.n": (lambda x: omega_bound(x, 0.5), DomainError, BAD_ORDER + [0, 3]),
+    "build_table.max_order": (lambda x: build_table(Lorentzian(1.0), [0.5, 1.5], x),
+                              DomainError, BAD_ORDER + [3]),
     "omega_n_general.r": (lambda x: omega_n_general(20, x), DomainError, NONFINITE),
     "omega_n_over_grid.r": (lambda x: omega_n_over_grid(20, np.array([0.5, x])),
                             DomainError, NONFINITE),
     "omega_n_over_grid.n": (lambda x: omega_n_over_grid(x, np.array([0.5, 1e-6])),
-                            DomainError, [-2, -1]),
+                            DomainError, BAD_ORDER + [-1]),
     "gauss_2f1_regularized_grid.z": (lambda x: gauss_2f1_regularized_grid(1, 1, 2, [0.5, x]),
                                      DomainError, NONFINITE),
     "rss_quadrature.r": (lambda x: rss_quadrature(x, 0.5), DomainError, NONFINITE),
     "rss_quadrature.omega": (lambda x: rss_quadrature(0.5, x), DomainError, BAD_OMEGA),
     "omega_n_quadrature.r": (lambda x: omega_n_quadrature(2, x), DomainError, NONFINITE),
     "omega_n_quadrature.n": (lambda x: omega_n_quadrature(x, 0.5), DomainError,
-                             [2.5, math.nan, -1, 9]),
+                             [2.5, 2.0, True, math.nan, -1, 9]),
     "QuadratureSpec.angular_nodes": (lambda x: QuadratureSpec(angular_nodes=x), DomainError,
                                      BAD_NODE_COUNT),
     "QuadratureSpec.radial_nodes": (lambda x: QuadratureSpec(radial_nodes=x), DomainError,
@@ -70,6 +83,7 @@ ENTRY_POINTS = {
     "autocovariance.omega": (lambda x: autocovariance(0.5, x, 4), DomainError, BAD_OMEGA),
     "asymptotic_floor.omega": (asymptotic_floor, DomainError, BAD_OMEGA),
     "floor_partial.omega": (lambda x: floor_partial(x, 4), DomainError, BAD_OMEGA),
+    "floor_partial.order": (lambda x: floor_partial(0.5, x), DomainError, BAD_ORDER + [3]),
     "theoretical_spectrum.omega": (lambda x: theoretical_spectrum(Lorentzian(1.0), x, 4, GRID),
                                    DomainError, BAD_OMEGA),
     "welch_expected_spectrum.omega": (lambda x: _welch(omega=x), DomainError, BAD_OMEGA),
@@ -78,9 +92,13 @@ ENTRY_POINTS = {
     "welch_expected_spectrum.dt": (lambda x: _welch(dt=x), DomainError, NONFINITE),
     "welch_expected_spectrum.segment_len": (lambda x: _welch(segment_len=x),
                                             DomainError, BAD_SEGMENT_LEN),
+    "welch_expected_spectrum.order": (lambda x: _welch(order=x), DomainError, BAD_ORDER),
     "welch_covariance_spectrum.segment_len": (
-        lambda x: welch_covariance_spectrum(SAMPLES, 0.1, segment_len=x),
+        lambda x: welch_covariance_spectrum(WELCH_SAMPLES, 0.1, segment_len=x),
         DomainError, BAD_SEGMENT_LEN),
+    "hann_window.n": (hann_window, DomainError, BAD_SEGMENT_LEN + [True]),
+    "empirical_acf.max_lag": (lambda x: empirical_acf(np.ones(1000), x), DomainError,
+                              [5.0, 5.5, True, -1]),
     "TauGrid.dtau": (lambda x: TauGrid(dtau=x, half_points=16), DomainError, NONFINITE),
     "TauGrid.half_points": (lambda x: TauGrid(dtau=0.1, half_points=x), DomainError,
                             [16.5, 16.0, math.nan, 15]),
@@ -93,7 +111,7 @@ ENTRY_POINTS = {
                                   [1025.0, 1025.5, math.nan]),
     # the seed is the first 64-bit word of the Philox key
     "SimulationConfig.seed": (lambda x: _config(seed=x), ConfigError,
-                              [1.5, 1.0, math.nan, -1, 2 ** 64, 2 ** 70]),
+                              [1.5, 1.0, True, math.nan, -1, 2 ** 64, 2 ** 70]),
     "invert.omega": (lambda x: invert(SAMPLES, x), DomainError, BAD_OMEGA),
     "invert.r_ww0": (lambda x: invert(SAMPLES, 1.0, r_ww0=x), DomainError, NONFINITE),
     "Lorentzian.a": (lambda x: Lorentzian(a=x), DomainError, NONFINITE),
@@ -106,6 +124,12 @@ ENTRY_POINTS = {
     "rss_montecarlo.omega": (lambda x: rss_montecarlo(0.5, x, 1000, seed=1),
                              DomainError, BAD_OMEGA),
     "rss_montecarlo.r": (lambda x: rss_montecarlo(x, 0.5, 1000, seed=1), DomainError, NONFINITE),
+    "rss_montecarlo.n_batches": (lambda x: rss_montecarlo(0.5, 0.5, 10 ** 5, seed=1,
+                                                          n_batches=x),
+                                 DomainError, [150.5, 150.0, 50, True]),
+    # at least 2 samples per batch of the default 200
+    "rss_montecarlo.n_samples": (lambda x: rss_montecarlo(0.5, 0.5, x, seed=1), DomainError,
+                                 [1e4, 10000.5, 399]),
     "Tabulated.lag": (lambda x: Tabulated([0.0, x, 2.0], [1.0, 0.5, 0.2]),
                       DomainError, NONFINITE),
     "Tabulated.value": (lambda x: Tabulated([0.0, 1.0, 2.0], [1.0, x, 0.2]),
@@ -113,7 +137,7 @@ ENTRY_POINTS = {
     "struve_l0.x": (struve_l0, DomainError, BAD_OMEGA),
     "angular_struve_check.x": (angular_struve_check, DomainError, BAD_OMEGA),
     "angular_struve_check.n_nodes": (lambda x: angular_struve_check(1.0, x), DomainError,
-                                     [0, -4, 2.5]),
+                                     [0, -4, 2.5, 4.0, True]),
     "hyp3f2_zero_balanced.z": (hyp3f2_zero_balanced, DomainError, BAD_UNIT_INTERVAL),
     "l1_integrand.abs_r": (l1_integrand, DomainError, BAD_UNIT_INTERVAL),
 }

@@ -10,11 +10,9 @@ import pytest
 from recipspec import oracle
 from recipspec.coefficients import omega0_closed, omega2_closed, omega_n_general
 from recipspec.errors import AccuracyError, DomainError
-from recipspec.oracle import (DEFAULT_QUADRATURE, JointCovariance,
-                              QuadratureSpec, _omega_n_single, _rss_single,
-                              abs_convergence_check, angular_struve_check,
-                              omega_n_quadrature, rss_montecarlo,
-                              rss_quadrature)
+from recipspec.oracle import (DEFAULT_QUADRATURE, QuadratureSpec, _omega_n_single,
+                              _rss_single, abs_convergence_check, angular_struve_check,
+                              omega_n_quadrature, rss_montecarlo, rss_quadrature)
 from recipspec.series import asymptotic_floor
 from recipspec.specfun import struve_l0
 
@@ -202,30 +200,16 @@ class TestMonteCarlo:
         with pytest.raises(DomainError):
             rss_montecarlo(0.3, 0.5, 10 ** 5, seed=1, n_batches=50)
 
-
-class TestJointCovariance:
-    def test_structure(self):
-        r = 0.4 - 0.2j
-        jc = JointCovariance(r, r_ww0=2.0)
-        m = jc.matrix
-        np.testing.assert_allclose(m, m.T)
-        assert m[0, 0] == pytest.approx(1.0)  # r_ww0/2
-        assert m[0, 2] == pytest.approx(0.4)  # rho * r_ww0/2
-        assert m[0, 3] == pytest.approx(-0.2)  # -mu * r_ww0/2, mu = -Im r
-        assert np.linalg.eigvalsh(m).min() >= -1e-12
-
-    def test_sampling_matches_matrix(self):
-        r = 0.5 * cmath.exp(-0.7j)
-        jc = JointCovariance(r)
-        rng = np.random.default_rng(42)
-        x = jc.sample(200000, rng)
-        emp = (x.T @ x) / len(x)
-        np.testing.assert_allclose(emp, jc.matrix, atol=0.01)
-
     def test_sampling_trick_matches_joint_law(self):
         # the two-variable circular construction used by the MC oracle must
-        # realize the same 4x4 covariance
+        # realize the 4x4 covariance of (a(t), b(t), a(t+tau), b(t+tau)),
+        # w = a + ib, with rho = Re r and mu = -Im r
         r = 0.6 * cmath.exp(0.5j)
+        rho, mu = r.real, -r.imag
+        joint = 0.5 * np.array([[1.0, 0.0, rho, -mu],
+                                [0.0, 1.0, mu, rho],
+                                [rho, mu, 1.0, 0.0],
+                                [-mu, rho, 0.0, 1.0]])
         rng = np.random.default_rng(7)
         n = 200000
         w2 = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
@@ -233,11 +217,7 @@ class TestJointCovariance:
         w1 = r * w2 + math.sqrt(1 - abs(r) ** 2) * z
         x = np.column_stack([w2.real, w2.imag, w1.real, w1.imag])
         emp = (x.T @ x) / n
-        np.testing.assert_allclose(emp, JointCovariance(r).matrix, atol=0.01)
-
-    def test_magnitude_gate(self):
-        with pytest.raises(DomainError):
-            JointCovariance(1.2)
+        np.testing.assert_allclose(emp, joint, atol=0.01)
 
 
 class TestStruveAndConvergence:

@@ -216,6 +216,20 @@ class TestWelch:
         b = welch_covariance_spectrum(x * np.exp(1j * 0.9), dt=1.0, segment_len=1024)
         np.testing.assert_allclose(a.psd, b.psd, rtol=1e-12)
 
+    def test_block_memory_does_not_grow_with_segment_len(self):
+        # segments are formed at most 2^21 samples at a time; with 512 segments
+        # per block whatever their length, this peak was 5.0 sample arrays
+        import tracemalloc
+        n = 1 << 22
+        x = np.random.default_rng(3).standard_normal(2 * n).view(complex)
+        tracemalloc.start()
+        try:
+            welch_covariance_spectrum(x, dt=0.1, segment_len=1 << 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * x.nbytes
+
     def test_quality_gates(self):
         x = np.zeros(1 << 12, dtype=complex)
         with pytest.raises(StatisticalQualityError):

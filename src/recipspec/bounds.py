@@ -3,8 +3,8 @@
 The lag integral of |autocovariance| is majorized by the integral of
 (4/pi)|r| 3F2(1,1,1;3/2,3/2;|r|^2).  For the exponential kernel that majorant
 integrates in closed form to (28 zeta(3)/pi - 8 C)/a; for the Gaussian kernel
-it is evaluated numerically (about 4.53/sqrt(a)), one 3F2 call per quadrature
-node set.  The integrand diverges logarithmically where |r| -> 1 (tau -> 0),
+it is evaluated numerically (about 4.53/sqrt(a)), one 3F2 call per integral.
+The integrand diverges logarithmically where |r| -> 1 (tau -> 0),
 which stays integrable; the sinc kernel decays only like 1/|tau| so the
 majorant test is inconclusive there, and the report says so - the condition is
 sufficient, not necessary.
@@ -13,7 +13,7 @@ sufficient, not necessary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,9 +23,9 @@ from .kernels import (CorrelationKernel, DopplerLorentzian, FlatBand,
                       GaussianKernel, Lorentzian)
 from .specfun import hyp3f2_zero_balanced, math_constants
 
-#: the integrand is fitted to c1 + c2*ln(tau) on [SPLIT, 10*SPLIT] and that
-#: local model is integrated analytically over [0, SPLIT]
-LOG_SPLIT = 1e-3
+#: panels, and Gauss-Legendre nodes per panel, of :func:`_graded_integral`
+_PANELS = 22
+_NODES = 16
 
 
 def l1_integrand(abs_r):
@@ -37,31 +37,23 @@ def l1_integrand(abs_r):
     return float(out) if out.ndim == 0 else out
 
 
-def _gauss_legendre_panel(f, a: float, b: float, n: int = 200) -> float:
-    x, w = np.polynomial.legendre.leggauss(n)
-    xs = 0.5 * (b - a) * x + 0.5 * (a + b)
-    return 0.5 * (b - a) * float(np.sum(w * f(xs)))
+def _graded_integral(f, tau_max: float) -> float:
+    """One-sided integral of f over [0, tau_max] on panels that halve toward 0.
 
-
-def _integrate_with_log_head(f, panels) -> float:
-    """One-sided integral of f over [0, panels[-1]] with a log-aware head.
-
-    ``f`` maps a tau array to an array and must behave like c1 + c2 ln(tau) as
-    tau -> 0; the head [0, LOG_SPLIT] uses that model fitted on [LOG_SPLIT,
-    10*LOG_SPLIT], the rest is plain Gauss-Legendre per panel.
+    ``f`` maps a tau array to an array, is called once, and must behave like
+    c1 + c2 ln(tau) as tau -> 0.  The head [0, eps], eps = tau_max 2^-_PANELS,
+    is integrated exactly for that model from f(eps) and f(2 eps):
+    eps (f(eps) - c2), with c2 = (f(2 eps) - f(eps)) / ln 2.
     """
-    ts = np.geomspace(LOG_SPLIT, 10 * LOG_SPLIT, 40)
-    ys = f(ts)
-    design = np.column_stack([np.ones_like(ts), np.log(ts)])
-    (c1, c2), *_ = np.linalg.lstsq(design, ys, rcond=None)
-    eps = LOG_SPLIT
-    head = c1 * eps + c2 * (eps * math.log(eps) - eps)
-    total = head
-    lo = LOG_SPLIT
-    for hi in panels:
-        total += _gauss_legendre_panel(f, lo, hi)
-        lo = hi
-    return total
+    x, w = np.polynomial.legendre.leggauss(_NODES)
+    lo = tau_max * 0.5 ** np.arange(1, _PANELS + 1)
+    eps = lo[-1]
+    # panel [lo, 2 lo] has midpoint 1.5 lo and half-width 0.5 lo
+    nodes = np.outer(lo, 1.5 + 0.5 * x)
+    values = f(np.append(nodes.ravel(), [eps, 2.0 * eps]))
+    body = 0.5 * float(lo @ (values[:-2].reshape(nodes.shape) @ w))
+    f_eps, f_2eps = values[-2:]
+    return body + eps * (f_eps - (f_2eps - f_eps) / math.log(2.0))
 
 
 def lorentzian_l1_bound(a: float) -> float:
@@ -73,12 +65,7 @@ def lorentzian_l1_bound(a: float) -> float:
 def lorentzian_l1_numeric(a: float) -> float:
     """Numeric two-sided integral of the majorant for r = exp(-a|tau|)."""
     a = finite_positive(a, "decay rate")
-
-    def f(tau):
-        return l1_integrand(np.exp(-a * tau))
-
-    return 2.0 * _integrate_with_log_head(
-        f, panels=[0.05 / a, 1.0 / a, 5.0 / a, 45.0 / a])
+    return 2.0 * _graded_integral(lambda tau: l1_integrand(np.exp(-a * tau)), 45.0 / a)
 
 
 def gaussian_l1_bound(a: float) -> float:
@@ -88,13 +75,8 @@ def gaussian_l1_bound(a: float) -> float:
     4.53 for a = 1.
     """
     a = finite_positive(a, "decay rate")
-    s = math.sqrt(a)
-
-    def f(tau):
-        return l1_integrand(np.exp(-a * tau * tau))
-
-    return 2.0 * _integrate_with_log_head(
-        f, panels=[0.05 / s, 1.0 / s, 7.0 / s])
+    return 2.0 * _graded_integral(lambda tau: l1_integrand(np.exp(-a * tau * tau)),
+                                  7.0 / math.sqrt(a))
 
 
 def covariance_l1_numeric(kernel: CorrelationKernel, tau_max: float) -> float:
@@ -103,16 +85,20 @@ def covariance_l1_numeric(kernel: CorrelationKernel, tau_max: float) -> float:
     |Omega_0| = -log(1-|r|^2)/|r| is evaluated in closed form here: the
     integration probes |r| -> 1 where the series route would need ~1/(1-|r|^2)
     terms, and the general-vs-closed agreement is certified elsewhere.
+
+    For r = exp(-a|tau|) the value is exact: with u = exp(-a tau) the integral
+    is (2/a) int_0^1 -ln(1-u^2)/u^2 du, and -ln(1-u^2)/u^2 is the derivative of
+    ln(1-u^2)/u + ln((1+u)/(1-u)), which runs from 0 at u = 0 to 2 ln 2 at
+    u -> 1; so the integral is 4 ln 2 / a.
     """
+    tau_max = finite_positive(tau_max, "tau_max")
 
     def f(tau):
         z = np.abs(kernel.eval(tau)) ** 2
         out = np.zeros_like(z)
         return np.divide(-np.log1p(-z), np.sqrt(z), out=out, where=z > 0.0)
 
-    scale = tau_max / 45.0
-    return 2.0 * _integrate_with_log_head(
-        f, panels=[0.05 * scale, 1.0 * scale, 5.0 * scale, 45.0 * scale])
+    return 2.0 * _graded_integral(f, tau_max)
 
 
 @dataclass(frozen=True)
@@ -124,13 +110,7 @@ class IntegrabilityReport:
     note: str
 
     def to_dict(self) -> dict:
-        return {
-            "kernel": self.kernel,
-            "l1_bound": self.l1_bound,
-            "l1_numeric": self.l1_numeric,
-            "satisfied": self.satisfied,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def integrability_report(kernel: CorrelationKernel) -> IntegrabilityReport:

@@ -40,7 +40,8 @@ class Option:
     underscores) and the config key ``name``.
 
     ``type`` converts the text of either.  The default applies when neither
-    the flag nor the config file gives a value.
+    the flag nor the config file gives a value.  An option with ``kernels``
+    parameterizes only those kernels; giving it for another one is an error.
     """
 
     name: str
@@ -48,6 +49,7 @@ class Option:
     default: object = None
     help: str = ""
     choices: tuple = ()
+    kernels: tuple = ()
 
 
 _COMMON = (Option("out_dir", default=".", help="output directory"),)
@@ -58,10 +60,11 @@ def _kernel(*choices: str) -> Option:
 
 
 _ANALYTIC = ("lorentzian", "gaussian", "flatband", "doppler_lorentzian")
-_A = Option("a", float, 1.0, "decay rate")
-_BETA = Option("beta", float, 0.0, "frequency offset")
+_A = Option("a", float, 1.0, "decay rate",
+            kernels=("lorentzian", "gaussian", "doppler_lorentzian"))
+_BETA = Option("beta", float, 0.0, "frequency offset", kernels=("doppler_lorentzian",))
 _KERNEL = (_kernel(*_ANALYTIC, "tabulated"), _A, _BETA,
-           Option("table", help="CSV path for tabulated kernels"))
+           Option("table", help="CSV path for tabulated kernels", kernels=("tabulated",)))
 
 _FORMAT = (Option("format", default="csv", help="output file format",
                   choices=("csv", "json")),)
@@ -93,8 +96,9 @@ def _load_config_file(path) -> dict:
 def _resolve(args: argparse.Namespace) -> dict:
     """Each option of the subcommand from its flag, else the config file, else its default.
 
-    A config key that is not an option of the subcommand, or a value its
-    converter or choices reject, raises ConfigError.
+    A config key that is not an option of the subcommand, a value its
+    converter or choices reject, or a kernel option given for a kernel that
+    takes no such parameter raises ConfigError.
     """
     options = COMMANDS[args.command][1]
     config = _load_config_file(args.config) if args.config else {}
@@ -111,6 +115,11 @@ def _resolve(args: argparse.Namespace) -> dict:
             except ValueError as exc:
                 raise ConfigError(f"config {opt.name}: {exc}") from None
         resolved[opt.name] = value
+    unused = [opt.name for opt in options
+              if opt.kernels and resolved["kernel"] not in opt.kernels
+              and (getattr(args, opt.name) is not None or opt.name in config)]
+    if unused:
+        raise ConfigError(f"kernel {resolved['kernel']} takes no {', '.join(unused)}")
     return resolved
 
 
@@ -237,7 +246,8 @@ COMMANDS = {
         Option("order", int, None, "series order (default 10 for flatband, else 20)"),
         Option("dt", float, 0.1, "sample spacing"),
         Option("samples", int, 2 ** 22, "number of samples"),
-        Option("fir_taps", int, 1025, "flat-band FIR length"),
+        Option("fir_taps", int, SimulationConfig.fir_taps, "flat-band FIR length",
+               kernels=("flatband",)),
         Option("segment_len", int, 4096, "Welch segment length"),
         Option("dump_samples", help="also dump the raw generated stream to this file"),
     ), cmd_simulate),

@@ -305,9 +305,14 @@ def omega_n_over_grid(n: int, r: np.ndarray) -> np.ndarray:
     * real r (zero imaginary part) with |r| >= CLOSED_FORM_THRESHOLD: the
       closed form of :func:`_closed_form`;
     * the rest, complex r included: the double sum.  Its grid 2F1 stops at the
-      whole grid's term count rather than each lane's, so such a lane agrees
-      with the same r evaluated alone (as :func:`omega_n_general` does) to
-      about 1e-8 relative, not bitwise.
+      whole grid's term count rather than each lane's, so such a lane is not
+      bitwise the same r evaluated alone (as :func:`omega_n_general` does),
+      and near |r| = 1 the two differ by the cancellation error of the sum:
+      for DopplerLorentzian(1, 1) on lags 0.05 (k + 1/2), k < 1024, at
+      tau = 0.075 (|r| = 0.928) they differ by 0.11 of Omega_20 (3.0e-5 of
+      Omega_14); against a 60-digit mpmath double sum the table is off by
+      2.7e-5 and the lone lane by 4.9e-4 of Omega_20 minus its limit.
+      ROADMAP item 4 replaces this path with exact forms.
 
     The first two paths work lane by lane, so there a lane's value is bitwise
     the same alone as inside any grid.  Odd n gives zeros.

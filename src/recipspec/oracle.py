@@ -209,7 +209,7 @@ def rss_montecarlo(r: complex, omega, n_samples: int, seed: int,
     integer_at_least(n_batches, "n_batches", 100)
     integer_at_least(n_samples, "n_samples", 2 * n_batches)
     w = finite_nonnegative(omega, "omega")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer_at_least(seed, "seed", 0))
     batch = n_samples // n_batches
     cross = math.sqrt(1.0 - abs(r) ** 2)
     means = np.empty(n_batches, dtype=complex)

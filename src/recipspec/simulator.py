@@ -55,7 +55,7 @@ class SimulationConfig:
     dt: float
     n_samples: int
     seed: int
-    fir_taps: int = 1025
+    fir_taps: int = 16385
 
     def __post_init__(self):
         if not isinstance(self.kernel, (Lorentzian, FlatBand)):

@@ -203,11 +203,12 @@ def window_lag_taper(win: np.ndarray) -> np.ndarray:
 def welch_layout(n_samples: int, segment_len: int):
     """Step and count of the Welch segments over n_samples, as (step, n_seg).
 
-    Segments overlap by ``WELCH_OVERLAP``.  Raises DomainError for a segment
-    longer than the record and StatisticalQualityError for fewer than 16
-    segments.
+    Segments overlap by ``WELCH_OVERLAP``.  Raises DomainError for a length
+    that is not an integer >= 2 or a segment longer than the record, and
+    StatisticalQualityError for fewer than 16 segments.
     """
-    if segment_len > n_samples:
+    integer_at_least(segment_len, "segment_len", 2)
+    if segment_len > integer_at_least(n_samples, "n_samples", 2):
         raise DomainError("segment_len exceeds the sample count")
     step = max(1, int(round(segment_len * (1.0 - WELCH_OVERLAP))))
     n_seg = (n_samples - segment_len) // step + 1

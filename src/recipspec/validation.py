@@ -148,8 +148,9 @@ def check_integrability():
     const = math_constants().lorentzian_l1_constant
     lor = bounds.lorentzian_l1_numeric(1.0)
     gau = bounds.gaussian_l1_bound(1.0)
-    ok = abs(lor - const) < 1e-3 and abs(gau - 4.53) < 0.01
+    ok = abs(lor - const) < 1e-8 and abs(gau - 4.53) < 0.01
     return ok, {"lorentzian_numeric": lor, "lorentzian_closed": const,
+                "lorentzian_tolerance": 1e-8,
                 "gaussian_numeric": gau, "gaussian_reference": 4.53}
 
 
@@ -182,8 +183,7 @@ def _one_experiment(kernel_name: str, omega: float):
     else:
         config = SimulationConfig(kernel=FlatBand(), omega=omega,
                                   dt=0.5, n_samples=2 ** 23,
-                                  seed=_SIM_SEEDS[(kernel_name, omega)],
-                                  fir_taps=16385)
+                                  seed=_SIM_SEEDS[(kernel_name, omega)])
         order = 10
     return run_experiment(config, order=order)
 

@@ -9,7 +9,7 @@ runs exactly the same code.  Criteria and tolerances:
  4. series vs quadrature < 1e-4 absolute; MC within 3 batch stderr (< 5 min)
  5. limit identity, rel < 1e-8, spot values at omega = 0 and 1
  6. magnitude bound inequalities; absolute-integral majorant
- 7. integrability constants: closed Apery/Catalan within 1e-3, 4.53 within 0.01
+ 7. integrability constants: closed Apery/Catalan within 1e-8, 4.53 within 0.01
  8. angular/Struve identity, rel < 1e-8
  9. simulation vs theory: median < 0.5 dB, p95 < 1.5 dB in the -40 dB band
 10. 1/f tail slope -1 +/- 0.1

@@ -55,9 +55,15 @@ class TestLorentzianBound:
             lorentzian_l1_bound(1.0) / 2.0, rel=1e-15)
 
     def test_numeric_integral_matches_closed(self):
-        numeric = lorentzian_l1_numeric(1.0)
-        assert numeric == pytest.approx(math_constants().lorentzian_l1_constant,
-                                        abs=1e-3)
+        for a in (0.5, 1.0, 4.0):
+            assert lorentzian_l1_numeric(a) == pytest.approx(
+                math_constants().lorentzian_l1_constant / a, rel=1e-9)
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 4.0])
+    def test_covariance_integral_is_4_ln2_over_a(self, a):
+        # exact value derived in the covariance_l1_numeric docstring
+        assert covariance_l1_numeric(Lorentzian(a), 45.0 / a) == pytest.approx(
+            4.0 * math.log(2.0) / a, rel=1e-9)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -74,33 +80,15 @@ class TestGaussianBound:
         assert gaussian_l1_bound(4.0) == pytest.approx(
             gaussian_l1_bound(1.0) / 2.0, rel=1e-3)
 
-    def test_node_doubling_stability(self):
-        # the quadrature is effectively converged: doubling panel nodes moves
-        # the value by far less than the acceptance window
-        a_val = gaussian_l1_bound(1.0)
-        orig = bounds._gauss_legendre_panel
-
-        def doubled(f, lo, hi, n=200):
-            return orig(f, lo, hi, 2 * n)
-
-        bounds._gauss_legendre_panel = doubled
-        try:
-            b_val = gaussian_l1_bound(1.0)
-        finally:
-            bounds._gauss_legendre_panel = orig
-        assert b_val == pytest.approx(a_val, abs=1e-4)
-
     def test_domain(self):
         with pytest.raises(DomainError):
             gaussian_l1_bound(0.0)
 
 
 class TestArrayQuadrature:
-    @pytest.mark.parametrize("integral, node_sets", [
-        (lorentzian_l1_numeric, 5),  # head fit + 4 panels
-        (gaussian_l1_bound, 4),      # head fit + 3 panels
-    ])
-    def test_one_3f2_call_per_node_set(self, monkeypatch, integral, node_sets):
+    @pytest.mark.parametrize("integral", [lorentzian_l1_numeric, gaussian_l1_bound],
+                             ids=["lorentzian_l1_numeric", "gaussian_l1_bound"])
+    def test_one_3f2_call_per_integral(self, monkeypatch, integral):
         calls = []
         orig = bounds.hyp3f2_zero_balanced
 
@@ -110,23 +98,42 @@ class TestArrayQuadrature:
 
         monkeypatch.setattr(bounds, "hyp3f2_zero_balanced", counted)
         integral(1.0)
-        assert calls == [(40,)] + [(200,)] * (node_sets - 1)
+        # every panel node and the two head points in one call
+        assert calls == [(bounds._PANELS * bounds._NODES + 2,)]
 
     def test_array_integrand_matches_scalar(self):
         r = np.linspace(0.0, 0.999, 50)
         assert np.array_equal(l1_integrand(r), [l1_integrand(float(x)) for x in r])
 
     @pytest.mark.parametrize("call, value", [
-        (lambda: lorentzian_l1_numeric(1.0), 3.3857977896229436),
-        (lambda: gaussian_l1_bound(1.0), 4.526712501092584),
-        (lambda: covariance_l1_numeric(Lorentzian(1.0), 45.0), 2.7725504580933307),
-        (lambda: covariance_l1_numeric(GaussianKernel(1.0), 7.0), 3.9185217053203045),
+        (lambda: lorentzian_l1_numeric(1.0), 3.385819934304092),
+        (lambda: gaussian_l1_bound(1.0), 4.526713021982791),
+        (lambda: covariance_l1_numeric(Lorentzian(1.0), 45.0), 2.772588720092707),
+        (lambda: covariance_l1_numeric(GaussianKernel(1.0), 7.0), 3.918522675299814),
     ], ids=["lorentzian_l1_numeric", "gaussian_l1_bound", "covariance_lorentzian",
             "covariance_gaussian"])
     def test_values_of_the_scalar_series_quadrature(self, call, value):
-        # reference values: the same quadrature with the 3F2 summed per node as
-        # a series to a 1e-12 relative tail bound
+        # the graded rule's values; the Lorentzian two are within 1e-9 of
+        # their exact values (28 zeta(3)/pi - 8 C and 4 ln 2), the Gaussian two
+        # move by under 1e-9 as the rule is refined (tests above and below)
         assert call() == pytest.approx(value, rel=1e-12)
+
+    @pytest.mark.parametrize("call", [
+        lambda: lorentzian_l1_numeric(1.0),
+        lambda: gaussian_l1_bound(1.0),
+        lambda: covariance_l1_numeric(Lorentzian(1.0), 45.0),
+        lambda: covariance_l1_numeric(GaussianKernel(1.0), 7.0),
+    ], ids=["lorentzian_l1_numeric", "gaussian_l1_bound", "covariance_lorentzian",
+            "covariance_gaussian"])
+    @pytest.mark.parametrize("setting, value", [("_NODES", 32), ("_PANELS", 24)],
+                             ids=["nodes_doubled", "head_quartered"])
+    def test_refinement_moves_each_integral_below_1e9(self, monkeypatch, call,
+                                                      setting, value):
+        # twice the nodes per panel, or two more panels (a head a quarter as
+        # long), leaves every integral where it was to 1e-9 relative
+        base = call()
+        monkeypatch.setattr(bounds, setting, value)
+        assert call() == pytest.approx(base, rel=1e-9)
 
 
 class TestReports:

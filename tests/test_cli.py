@@ -12,6 +12,7 @@ import pytest
 
 from recipspec import cli
 from recipspec.cli import main
+from recipspec.simulator import SimulationConfig
 
 
 def run(tmp, *args):
@@ -305,6 +306,41 @@ def test_kernel_options_a_subcommand_cannot_use_exit_2(tmp_path, command, args):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command, args, config", [
+    ("spectrum", ["--kernel", "flatband", "--a", "5", "--beta", "3", "--table",
+                  "/nonexistent.csv", "--half-points", "16", "--omega", "0.5"], None),
+    ("bounds", ["--kernel", "lorentzian", "--beta", "9"], None),
+    ("coeffs", ["--kernel", "gaussian", "--beta", "1"], None),
+    ("simulate", ["--kernel", "flatband", "--a", "2"], None),
+    ("simulate", ["--kernel", "lorentzian", "--fir-taps", "1025"], None),
+    ("simulate", [], "fir_taps=1025"),
+    ("spectrum", ["--kernel", "flatband"], "a=2"),
+    ("bounds", [], "kernel=gaussian\nbeta=9"),
+    ("coeffs", ["--kernel", "lorentzian"], "table=t.csv")])
+def test_kernel_option_the_kernel_does_not_take_exits_2(tmp_path, capsys, command, args,
+                                                        config):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n")
+        args = args + ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert run(out, command, *args) == 2
+    assert capsys.readouterr().err.startswith("error: kernel ")
+    assert not out.exists()
+
+
+def test_fir_taps_default_is_the_simulation_config_default():
+    args = cli.build_parser().parse_args(["simulate"])
+    assert cli._resolve(args)["fir_taps"] == SimulationConfig.fir_taps == 16385
+
+
+def test_kernel_options_the_kernel_takes_are_accepted(tmp_path):
+    assert run(tmp_path, "bounds", "--kernel", "doppler_lorentzian", "--a", "2",
+               "--beta", "3") == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert (manifest["parameters"]["a"], manifest["parameters"]["beta"]) == (2.0, 3.0)
+
+
 @pytest.mark.parametrize("command", ["coeffs", "spectrum", "bounds", "validate"])
 def test_seed_flag_only_on_simulate(tmp_path, command):
     with pytest.raises(SystemExit) as exc:
@@ -334,8 +370,10 @@ def test_flags_and_config_keys_resolve_alike(tmp_path, capsys, command):
         flag_args, line, value = _sample(opt)
         cfg = tmp_path / f"{opt.name}.cfg"
         cfg.write_text(line + "\n")
-        from_flag = resolve(flag_args)[opt.name]
-        from_config = resolve(["--config", str(cfg)])[opt.name]
+        # a kernel option is given with a kernel that takes it
+        kernel = ["--kernel", opt.kernels[0]] if opt.kernels else []
+        from_flag = resolve(kernel + flag_args)[opt.name]
+        from_config = resolve(kernel + ["--config", str(cfg)])[opt.name]
         assert from_flag == from_config == value != opt.default, opt.name
         assert resolve([])[opt.name] == opt.default
 

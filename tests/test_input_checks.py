@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from recipspec import spectrum
-from recipspec.bounds import (gaussian_l1_bound, l1_integrand, lorentzian_l1_bound,
-                              lorentzian_l1_numeric)
+from recipspec.bounds import (covariance_l1_numeric, gaussian_l1_bound, l1_integrand,
+                              lorentzian_l1_bound, lorentzian_l1_numeric)
 from recipspec.coefficients import (build_table, omega_bound, omega_limit, omega_n_general,
                                     omega_n_over_grid)
 from recipspec.errors import ConfigError, DomainError
@@ -24,7 +24,8 @@ from recipspec.series import asymptotic_floor, autocorrelation, autocovariance, 
 from recipspec.simulator import SimulationConfig, empirical_acf, invert
 from recipspec.specfun import gauss_2f1_regularized_grid, hyp3f2_zero_balanced, struve_l0
 from recipspec.spectrum import (TauGrid, hann_window, theoretical_spectrum,
-                                welch_covariance_spectrum, welch_expected_spectrum)
+                                welch_covariance_spectrum, welch_expected_spectrum,
+                                welch_layout)
 
 NONFINITE = [math.nan, math.inf, -math.inf]
 BAD_OMEGA = NONFINITE + [-0.5]
@@ -97,6 +98,10 @@ ENTRY_POINTS = {
         lambda x: welch_covariance_spectrum(WELCH_SAMPLES, 0.1, segment_len=x),
         DomainError, BAD_SEGMENT_LEN),
     "hann_window.n": (hann_window, DomainError, BAD_SEGMENT_LEN + [True]),
+    "welch_layout.segment_len": (lambda x: welch_layout(1000, x), DomainError,
+                                 BAD_SEGMENT_LEN + [True]),
+    "welch_layout.n_samples": (lambda x: welch_layout(x, 64), DomainError,
+                               [1000.0, 1000.5, math.nan]),
     "empirical_acf.max_lag": (lambda x: empirical_acf(np.ones(1000), x), DomainError,
                               [5.0, 5.5, True, -1]),
     "TauGrid.dtau": (lambda x: TauGrid(dtau=x, half_points=16), DomainError, NONFINITE),
@@ -121,9 +126,13 @@ ENTRY_POINTS = {
     "lorentzian_l1_bound.a": (lorentzian_l1_bound, DomainError, NONFINITE),
     "lorentzian_l1_numeric.a": (lorentzian_l1_numeric, DomainError, NONFINITE),
     "gaussian_l1_bound.a": (gaussian_l1_bound, DomainError, NONFINITE),
+    "covariance_l1_numeric.tau_max": (lambda x: covariance_l1_numeric(Lorentzian(1.0), x),
+                                      DomainError, NONFINITE + [0.0, -45.0]),
     "rss_montecarlo.omega": (lambda x: rss_montecarlo(0.5, x, 1000, seed=1),
                              DomainError, BAD_OMEGA),
     "rss_montecarlo.r": (lambda x: rss_montecarlo(x, 0.5, 1000, seed=1), DomainError, NONFINITE),
+    "rss_montecarlo.seed": (lambda x: rss_montecarlo(0.5, 0.5, 1000, seed=x), DomainError,
+                            [1.5, 1.0, True, math.nan, -1]),
     "rss_montecarlo.n_batches": (lambda x: rss_montecarlo(0.5, 0.5, 10 ** 5, seed=1,
                                                           n_batches=x),
                                  DomainError, [150.5, 150.0, 50, True]),

@@ -199,6 +199,7 @@ def cmd_simulate(p: dict, manifest: RunManifest) -> int:
         "n_zero_denominators": result.diagnostics.n_zero_denominators,
         "dc_line_power_theory": result.theoretical.dc_line_power,
         "dc_line_power_empirical": result.empirical.dc_line_power,
+        "stage_s": result.stage_s,
     }
     _emit(manifest, "report.json", dump_json(report))
     return EXIT_OK

@@ -76,6 +76,15 @@ def _radial_rule(spec: QuadratureSpec):
     return v, wv
 
 
+def radial_rules(spec: QuadratureSpec) -> dict:
+    """The radial rules of ``spec`` and of ``spec.doubled()``, keyed by spec.
+
+    A caller that runs several quadratures at one spec builds them once and
+    passes them to each as ``rules``; the values are those of separate calls.
+    """
+    return {s: _radial_rule(s) for s in (spec, spec.doubled())}
+
+
 #: bytes of radial-plane data one block of angles may hold
 _BLOCK_BYTES = 1 << 21
 
@@ -99,10 +108,13 @@ def _weight_planes(r: complex, spec: QuadratureSpec, v, wv):
         yield d, gauss * np.exp(-coupling_scale * cos_t[:, None, None])
 
 
-def _rss_single(r: complex, omega: float, spec: QuadratureSpec) -> complex:
-    """The rule's sum: for each angle, sum_q e[q, v1] e[q - d, v2] against M_d."""
+def _rss_single(r: complex, omega: float, spec: QuadratureSpec, rule) -> complex:
+    """The rule's sum: for each angle, sum_q e[q, v1] e[q - d, v2] against M_d.
+
+    ``rule`` is ``spec``'s radial rule (nodes, weights).
+    """
     nang = spec.angular_nodes
-    v, wv = _radial_rule(spec)
+    v, wv = rule
     dq = 2.0 * math.pi / nang
     q = 2.0 * math.pi * np.arange(nang) / nang
     e = np.exp(1j * omega * v[None, :] * np.cos(q)[:, None])  # [q, v]
@@ -113,7 +125,7 @@ def _rss_single(r: complex, omega: float, spec: QuadratureSpec) -> complex:
     return -total * dq * dq / (4.0 * math.pi ** 2)
 
 
-def _omega_n_single(n: int, r: complex, spec: QuadratureSpec) -> complex:
+def _omega_n_single(n: int, r: complex, spec: QuadratureSpec, rule) -> complex:
     """The rule's sum with the polynomial factor separated in v and in angle.
 
     v1 c1 + v2 c2 = ((v1 + v2)(c1 + c2) + (v1 - v2)(c1 - c2)) / 2 with
@@ -123,10 +135,10 @@ def _omega_n_single(n: int, r: complex, spec: QuadratureSpec) -> complex:
     sum and difference basis keeps the terms from cancelling: c1 + c2 and
     c1 - c2 are 2 cos(q - theta_d/2) cos(theta_d/2) and -2 sin(q - theta_d/2)
     sin(theta_d/2), so for even n the odd-p sums over q vanish and every other
-    term is nonnegative.
+    term is nonnegative.  ``rule`` is ``spec``'s radial rule (nodes, weights).
     """
     nang = spec.angular_nodes
-    v, wv = _radial_rule(spec)
+    v, wv = rule
     dq = 2.0 * math.pi / nang
     idx = np.arange(nang)
     c1 = np.cos(2.0 * math.pi * idx / nang)
@@ -145,15 +157,19 @@ def _omega_n_single(n: int, r: complex, spec: QuadratureSpec) -> complex:
     return (1j) ** n * (-total * dq * dq / (4.0 * math.pi ** 2))
 
 
-def _coarse_and_doubled(name: str, rule, spec: QuadratureSpec) -> QuadratureResult:
-    """``rule`` at ``spec`` and at doubled node counts: the doubled value, and
-    their difference as its error estimate.
+def _coarse_and_doubled(name: str, rule_sum, spec: QuadratureSpec,
+                        rules) -> QuadratureResult:
+    """``rule_sum(spec, radial rule)`` at ``spec`` and at doubled node counts:
+    the doubled value, and their difference as its error estimate.
 
-    Raises AccuracyError (carrying the doubled value) when the estimate
-    misses ``spec.target_abs_tol``.
+    ``rules`` is ``radial_rules(spec)``, or None to build it here.  Raises
+    AccuracyError (carrying the doubled value) when the estimate misses
+    ``spec.target_abs_tol``.
     """
-    coarse = rule(spec)
-    fine = rule(spec.doubled())
+    rules = radial_rules(spec) if rules is None else rules
+    fine_spec = spec.doubled()
+    coarse = rule_sum(spec, rules[spec])
+    fine = rule_sum(fine_spec, rules[fine_spec])
     err = abs(fine - coarse)
     if not err <= spec.target_abs_tol:
         raise AccuracyError(
@@ -162,34 +178,38 @@ def _coarse_and_doubled(name: str, rule, spec: QuadratureSpec) -> QuadratureResu
     return QuadratureResult(value=fine, error_estimate=err)
 
 
-def rss_quadrature(r: complex, omega, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> QuadratureResult:
+def rss_quadrature(r: complex, omega, spec: QuadratureSpec = DEFAULT_QUADRATURE, *,
+                   rules=None) -> QuadratureResult:
     """Normalized autocorrelation by direct quadrature of the reduced integral.
 
     Runs the rule at ``spec`` and at doubled node counts; the difference is
     the reported error estimate and the doubled value is returned.  Raises
     AccuracyError (carrying the best value) if the estimate misses
-    ``spec.target_abs_tol``.
+    ``spec.target_abs_tol``.  ``rules``, when given, is ``radial_rules(spec)``.
     """
     r = complex(r)
     if not abs(r) < 1.0:
         raise DomainError(f"quadrature requires |r| < 1, got {abs(r)}")
     w = finite_nonnegative(omega, "omega")
-    return _coarse_and_doubled("rss_quadrature", lambda s: _rss_single(r, w, s), spec)
+    return _coarse_and_doubled("rss_quadrature",
+                               lambda s, rule: _rss_single(r, w, s, rule), spec, rules)
 
 
-def omega_n_quadrature(n: int, r: complex,
-                       spec: QuadratureSpec = DEFAULT_QUADRATURE) -> QuadratureResult:
+def omega_n_quadrature(n: int, r: complex, spec: QuadratureSpec = DEFAULT_QUADRATURE, *,
+                       rules=None) -> QuadratureResult:
     """Coefficient Omega_n by quadrature of the differentiated integrand.
 
     Limited to n <= 8: the polynomial factor (v1 cos q1 + v2 cos q2)^n raises
-    the radial node demand with n.
+    the radial node demand with n.  ``rules``, when given, is
+    ``radial_rules(spec)``.
     """
     if integer_at_least(n, "order", 0) > 8:
         raise DomainError(f"omega_n_quadrature supports orders up to 8, got {n!r}")
     r = complex(r)
     if not abs(r) < 1.0:
         raise DomainError(f"quadrature requires |r| < 1, got {abs(r)}")
-    return _coarse_and_doubled("omega_n_quadrature", lambda s: _omega_n_single(n, r, s), spec)
+    return _coarse_and_doubled("omega_n_quadrature",
+                               lambda s, rule: _omega_n_single(n, r, s, rule), spec, rules)
 
 
 def rss_montecarlo(r: complex, omega, n_samples: int, seed: int,

@@ -12,15 +12,18 @@ Generation is chunked, with one counter-based RNG stream per chunk keyed on
 (seed, chunk index); the sample stream is bitwise reproducible and does not
 depend on how chunks are scheduled.
 
-Memory: every full-length stage works in place or in blocks, so at its peak
-a run holds about two sample-length arrays (the samples with the reciprocal,
-or with the ACF gate's centered copy), plus Welch blocks whose size does not
-depend on the record length.
+Memory: every full-length stage works in place or in cache-sized blocks, so
+at its peak a run holds two sample-length arrays (the samples and their
+reciprocal, while ``invert`` runs) and no stage makes a full-length copy:
+the ACF gate centers one block at a time and Welch forms its segments as a
+strided view, copying one block of them at a time.
 """
 
 from __future__ import annotations
 
 import math
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,6 +37,10 @@ from .spectrum import (SpectrumResult, theoretical_spectrum, TauGrid, hann_windo
                        welch_covariance_spectrum, welch_expected_spectrum, welch_layout)
 
 _CHUNK = 1 << 18
+#: values of k whose lag products the ACF gate adds per block: one centered
+#: block (1 MB) stays in cache across all lags; 2^15 and 2^16 ran fastest,
+#: 2^18 and above 1.5x slower (2^23 samples, one BLAS thread; table in CHANGES.md)
+_ACF_BLOCK_SAMPLES = 1 << 16
 #: Kaiser beta of the flat-band FIR window
 FIR_KAISER_BETA = 8.0
 #: the fidelity gate compares the ACF at lags 1..GATE_LAGS with the kernel and
@@ -198,14 +205,24 @@ def invert(samples: np.ndarray, omega, r_ww0: float = 1.0):
 def empirical_acf(samples: np.ndarray, max_lag: int) -> np.ndarray:
     """Biased (1/n) empirical autocorrelation after mean removal, lags 0..max_lag.
 
-    Convention: acf[m] = (1/n) sum_k x[k+m] conj(x[k]), one dot product per lag.
+    Convention: acf[m] = (1/n) sum_k x[k+m] conj(x[k]).  The mean is taken
+    once; then each block of ``_ACF_BLOCK_SAMPLES`` values of k is centered
+    with the ``max_lag`` samples after it into one small temporary, and every
+    lag's products over the block are added, so no full-length centered copy
+    is made.
     """
     x = np.asarray(samples)
     n = len(x)
     if integer_at_least(max_lag, "max_lag", 0) >= n // 10:
         raise DomainError("max_lag must be below n_samples/10")
-    x = x - x.mean()
-    return np.array([np.vdot(x[:n - m], x[m:]) for m in range(max_lag + 1)]) / n
+    mean = x.mean()
+    acf = np.zeros(max_lag + 1, dtype=np.result_type(x.dtype, float))
+    for lo in range(0, n, _ACF_BLOCK_SAMPLES):
+        c = x[lo:lo + _ACF_BLOCK_SAMPLES + max_lag] - mean
+        for m in range(min(max_lag + 1, len(c))):
+            k = min(_ACF_BLOCK_SAMPLES, len(c) - m)  # pairs whose k + m is below n
+            acf[m] += np.vdot(c[:k], c[m:m + k])
+    return acf / n
 
 
 def acf_sigma(kernel: CorrelationKernel, dt: float, n_samples: int) -> float:
@@ -242,6 +259,18 @@ class ExperimentResult:
     metrics: dict
     fidelity: dict
     diagnostics: InversionDiagnostics
+    #: wall seconds of each stage: generate, gate, invert, welch,
+    #: welch_expected and theory
+    stage_s: dict
+
+
+@contextmanager
+def _timed(stage_s: dict, stage: str):
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        stage_s[stage] = time.perf_counter() - t0
 
 
 def _band_metrics(empirical: np.ndarray, reference: np.ndarray) -> dict:
@@ -290,20 +319,26 @@ def run_experiment(config: SimulationConfig, order: Optional[int] = None,
         raise DomainError(f"segment_len must be even for the midpoint lag grid, "
                           f"got {segment_len}")
     grid = TauGrid(dtau=config.dt, half_points=segment_len // 2)
-    w_seq = generate_gaussian(config)
+    stage_s = {}
+    with _timed(stage_s, "generate"):
+        w_seq = generate_gaussian(config)
     if dump_path is not None:
         dump_samples(w_seq, dump_path)
-    fidelity = generator_fidelity_check(config, w_seq)
-    s, diag = invert(w_seq, config.omega)
+    with _timed(stage_s, "gate"):
+        fidelity = generator_fidelity_check(config, w_seq)
+    with _timed(stage_s, "invert"):
+        s, diag = invert(w_seq, config.omega)
     del w_seq  # only the reciprocal is needed from here on
-    empirical = welch_covariance_spectrum(s, config.dt, segment_len=segment_len)
-    # mean |s - mean|^2, without a centered copy of s
-    r0 = float(np.vdot(s, s).real) / len(s) - empirical.dc_line_power
-    expected = welch_expected_spectrum(
-        config.kernel, config.omega, order, config.dt, segment_len,
-        zero_lag_value=empirical.metadata["white_floor"])
-
-    theoretical = theoretical_spectrum(config.kernel, config.omega, order, grid)
+    with _timed(stage_s, "welch"):
+        empirical = welch_covariance_spectrum(s, config.dt, segment_len=segment_len)
+        # mean |s - mean|^2, without a centered copy of s
+        r0 = float(np.vdot(s, s).real) / len(s) - empirical.dc_line_power
+    with _timed(stage_s, "welch_expected"):
+        expected = welch_expected_spectrum(
+            config.kernel, config.omega, order, config.dt, segment_len,
+            zero_lag_value=empirical.metadata["white_floor"])
+    with _timed(stage_s, "theory"):
+        theoretical = theoretical_spectrum(config.kernel, config.omega, order, grid)
 
     metrics = _band_metrics(empirical.psd, expected.psd)
     direct = _band_metrics(empirical.psd, theoretical.psd)
@@ -313,4 +348,4 @@ def run_experiment(config: SimulationConfig, order: Optional[int] = None,
     metrics["order"] = order
     return ExperimentResult(empirical=empirical, theoretical=theoretical,
                             expected=expected, metrics=metrics,
-                            fidelity=fidelity, diagnostics=diag)
+                            fidelity=fidelity, diagnostics=diag, stage_s=stage_s)

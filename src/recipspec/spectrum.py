@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .coefficients import build_table
 from .errors import (ConsistencyError, DomainError, StatisticalQualityError,
@@ -33,8 +34,11 @@ from .series import SeriesEvaluation, asymptotic_floor, partial_sum, tail_bound
 _TAPER_FRACTION = 0.1
 #: share of each Welch segment that overlaps the next
 WELCH_OVERLAP = 0.5
-#: samples of the segments one Welch block forms at once (512 segments of 4096)
-_WELCH_BLOCK_SAMPLES = 1 << 21
+#: samples of the segments one Welch block forms at once (32 segments of 4096,
+#: or one longer segment): a block's subtract, window, FFT and power steps
+#: stay within a 2 MB cache; 2^15..2^18 ran alike, 2^21 1.6-1.9x slower
+#: (2^23 samples, one BLAS thread; table in CHANGES.md)
+_WELCH_BLOCK_SAMPLES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -225,36 +229,34 @@ def welch_covariance_spectrum(samples: np.ndarray, dt: float,
     The global sample mean is removed (taking out the discrete line at the
     origin), Hann-windowed segments overlapping by ``WELCH_OVERLAP`` are
     transformed and the mean of their periodograms is scaled to power per
-    unit frequency.  Segments are formed in blocks of at most
-    ``_WELCH_BLOCK_SAMPLES`` samples, and the mean is subtracted within each
-    block, so no full-length copy of ``samples`` is made and the blocks' size
-    does not depend on ``segment_len``.
+    unit frequency.  The segments are a strided view of ``samples``; they are
+    copied only as each block of at most ``_WELCH_BLOCK_SAMPLES`` samples (one
+    segment, when a segment is longer) has the mean subtracted, so no
+    full-length copy is made and a block's temporaries do not grow with the
+    record or with ``segment_len``.
 
     ``metadata["white_floor"]`` is the realized white floor
     sum |windowed segment|^2 / (n_seg sum w^2): the frequency-independent
     diagonal part of the averaged periodograms, a window-weighted variance.
-    By Parseval's identity it equals the mean of ``psd`` divided by dt.
+    It is taken from the periodograms by Parseval's identity, so it equals
+    the mean of ``psd`` divided by dt.
     """
     x = np.asarray(samples, dtype=complex)
     win = hann_window(segment_len)
     step, n_seg = welch_layout(len(x), segment_len)
     mean = complex(x.mean())
-    idx = np.arange(segment_len)
-    starts = np.arange(n_seg) * step
+    segments = sliding_window_view(x, segment_len)[::step]  # a view: nothing is copied
     block = max(1, _WELCH_BLOCK_SAMPLES // segment_len)  # segments per block
-    total = np.zeros(segment_len)
-    segment_power = 0.0
+    squares = np.zeros(2 * segment_len)  # each bin's re^2 and im^2, summed over segments
     for lo in range(0, n_seg, block):
-        sub = x[starts[lo:lo + block, None] + idx[None, :]]
-        sub -= mean
+        sub = segments[lo:lo + block] - mean
         sub *= win
-        segment_power += float(np.vdot(sub, sub).real)
-        # a named array, not an inline temporary: inlined, the peak RSS of
-        # repeated 2^23-sample simulate runs rose by 18 MB (2 %, Linux, glibc)
-        power = np.abs(np.fft.fft(sub, axis=1)) ** 2
-        total += power.sum(axis=0)
+        spectra = np.fft.fft(sub, axis=1).view(float)  # (re, im) pairs
+        spectra *= spectra
+        squares += spectra.sum(axis=0)
+    power = squares[0::2] + squares[1::2]
     win_power = float(np.sum(win ** 2))
-    psd = np.fft.fftshift(total / n_seg) * dt / win_power
+    psd = np.fft.fftshift(power / n_seg) * dt / win_power
     freqs = np.fft.fftshift(np.fft.fftfreq(segment_len, dt))
     meta = {
         "method": "welch",
@@ -262,7 +264,8 @@ def welch_covariance_spectrum(samples: np.ndarray, dt: float,
         "segment_len": segment_len,
         "n_segments": int(n_seg),
         "removed_mean": [mean.real, mean.imag],
-        "white_floor": segment_power / (n_seg * win_power),
+        # Parseval: the windowed segments' summed squares are power.sum() / segment_len
+        "white_floor": float(power.sum()) / (segment_len * n_seg * win_power),
     }
     return SpectrumResult(frequencies=freqs, psd=psd,
                           dc_line_power=abs(mean) ** 2, metadata=meta)

@@ -80,10 +80,11 @@ def check_complex_r():
 @_check("odd_order_vanishing")
 def check_odd_orders():
     """Quadrature of odd-order coefficients returns 0 within 1e-6."""
+    rules = oracle.radial_rules(oracle.DEFAULT_QUADRATURE)
     worst = 0.0
     for n in (1, 3):
         for r in (0.3, 0.7):
-            v = oracle.omega_n_quadrature(n, r).value
+            v = oracle.omega_n_quadrature(n, r, rules=rules).value
             worst = max(worst, abs(v))
     return worst < 1e-6, {"worst_abs": worst, "tolerance": 1e-6}
 
@@ -91,17 +92,18 @@ def check_odd_orders():
 @_check("oracle_equivalence")
 def check_oracle_equivalence():
     """Series (order 20) vs quadrature < 1e-4 absolute; MC within 3 stderr."""
+    rules = oracle.radial_rules(TIGHT_QUAD)
     worst = 0.0
     absrs = (0.3, 0.6, 0.9)
     for w in (0.0, 0.5, 1.0, 1.2):
         values = series.autocorrelation(np.array(absrs), w, order=20).value
         for absr, s in zip(absrs, values):
-            q = oracle.rss_quadrature(absr, w, TIGHT_QUAD).value
+            q = oracle.rss_quadrature(absr, w, TIGHT_QUAD, rules=rules).value
             worst = max(worst, abs(s - q))
     mc_ok = True
     mc_rows = []
     for i, (absr, w) in enumerate([(0.5, 0.5), (0.3, 1.0), (0.9, 1.2)]):
-        q = oracle.rss_quadrature(absr, w, TIGHT_QUAD).value
+        q = oracle.rss_quadrature(absr, w, TIGHT_QUAD, rules=rules).value
         mc = oracle.rss_montecarlo(absr, w, 10 ** 7, seed=900 + i)
         pull = abs(mc.estimate - q) / mc.stderr
         mc_rows.append({"abs_r": absr, "omega": w, "pull": pull,

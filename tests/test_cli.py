@@ -160,6 +160,9 @@ class TestSimulate:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["metrics"]["n_segments"] >= 16
         assert report["fidelity"]["worst_sigma"] <= 3.0
+        assert sorted(report["stage_s"]) == sorted(
+            ["generate", "gate", "invert", "welch", "welch_expected", "theory"])
+        assert all(t >= 0.0 for t in report["stage_s"].values())
 
     def test_byte_determinism_across_threads(self, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"

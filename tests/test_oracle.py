@@ -11,8 +11,9 @@ from recipspec import oracle
 from recipspec.coefficients import omega0_closed, omega2_closed, omega_n_general
 from recipspec.errors import AccuracyError, DomainError
 from recipspec.oracle import (DEFAULT_QUADRATURE, QuadratureSpec, _omega_n_single,
-                              _rss_single, abs_convergence_check, angular_struve_check,
-                              omega_n_quadrature, rss_montecarlo, rss_quadrature)
+                              _radial_rule, _rss_single, abs_convergence_check,
+                              angular_struve_check, omega_n_quadrature, rss_montecarlo,
+                              rss_quadrature)
 from recipspec.series import asymptotic_floor
 from recipspec.specfun import struve_l0
 
@@ -84,16 +85,16 @@ SMALL = QuadratureSpec(angular_nodes=24, radial_nodes=24, v_max=12.0)
 class TestQuadrature:
     def test_equals_plain_tensor_rule(self):
         for r, w in [(0.5, 0.0), (0.5, 0.7), (math.exp(-1) * cmath.exp(-2j), 0.7)]:
-            fast = _rss_single(complex(r), w, SMALL)
+            fast = _rss_single(complex(r), w, SMALL, _radial_rule(SMALL))
             plain = rss_plain_tensor(r, w, SMALL)
             assert fast == pytest.approx(plain, abs=1e-12)
 
     def test_blocks_of_angles_change_nothing(self, monkeypatch):
         r = math.exp(-1) * cmath.exp(-2j)
-        whole = _rss_single(r, 0.7, SMALL)
+        whole = _rss_single(r, 0.7, SMALL, _radial_rule(SMALL))
         # 24 angles in blocks of 5: four whole blocks and a short one
         monkeypatch.setattr(oracle, "_BLOCK_BYTES", 5 * 24 * 24 * 8)
-        assert _rss_single(r, 0.7, SMALL) == whole
+        assert _rss_single(r, 0.7, SMALL, _radial_rule(SMALL)) == whole
 
     def test_matches_order_zero_closed_form(self):
         res = rss_quadrature(0.5, 0.0)
@@ -117,7 +118,7 @@ class TestQuadrature:
         assert a == pytest.approx(b.conjugate(), abs=1e-9)
 
     def test_nan_estimate_fails_closed(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_rss_single", lambda r, w, spec: complex(math.nan))
+        monkeypatch.setattr(oracle, "_rss_single", lambda r, w, spec, rule: complex(math.nan))
         with pytest.raises(AccuracyError):
             rss_quadrature(0.5, 0.5)
 
@@ -141,7 +142,7 @@ class TestOmegaNQuadrature:
         if block_planes is not None:
             monkeypatch.setattr(oracle, "_BLOCK_BYTES", block_planes * 24 * 24 * 8)
         for n in range(9):
-            fast = _omega_n_single(n, complex(r), SMALL)
+            fast = _omega_n_single(n, complex(r), SMALL, _radial_rule(SMALL))
             plain = omega_n_plain_tensor(n, r, SMALL)
             # odd orders are 0 up to rounding, which both sides resolve only to
             # a few machine epsilons of the sum of the terms' magnitudes
@@ -149,7 +150,7 @@ class TestOmegaNQuadrature:
             assert abs(fast - plain) <= 1e-12 * max(1.0, abs(plain)) + rounding, (n, fast, plain)
 
     def test_nan_estimate_fails_closed(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_omega_n_single", lambda n, r, spec: complex(math.nan))
+        monkeypatch.setattr(oracle, "_omega_n_single", lambda n, r, spec, rule: complex(math.nan))
         with pytest.raises(AccuracyError):
             omega_n_quadrature(2, 0.5)
 
@@ -176,6 +177,22 @@ class TestOmegaNQuadrature:
     def test_order_cap(self):
         with pytest.raises(DomainError):
             omega_n_quadrature(10, 0.3)
+
+    def test_shared_rules_change_nothing(self):
+        rules = oracle.radial_rules(DEFAULT_QUADRATURE)
+        assert sorted(s.radial_nodes for s in rules) == [64, 128]
+        r = math.exp(-1) * cmath.exp(-2j)
+        assert omega_n_quadrature(2, r, rules=rules) == omega_n_quadrature(2, r)
+        assert rss_quadrature(r, 0.7, rules=rules) == rss_quadrature(r, 0.7)
+
+    def test_odd_order_check_builds_each_rule_once(self, monkeypatch):
+        from recipspec import validation
+        built = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda n: built.append(n) or leggauss(n))
+        assert validation.check_odd_orders().passed
+        assert sorted(built) == [64, 128]  # four quadratures at one spec
 
 
 class TestMonteCarlo:

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from recipspec import simulator
 from recipspec.errors import ConfigError, DomainError, StatisticalQualityError
 from recipspec.kernels import FlatBand, GaussianKernel, Lorentzian
 from recipspec.simulator import (_CHUNK, SimulationConfig, design_flat_fir,
@@ -161,6 +162,35 @@ class TestEmpiricalAcf:
             direct = np.sum(xc[m:] * np.conj(xc[:len(xc) - m])) / len(xc)
             assert got[m] == pytest.approx(direct, rel=1e-12)
 
+    @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("extra", [-1, 0, 7],
+                             ids=["k_block_minus_1", "k_block", "k_block_plus_7"])
+    @pytest.mark.parametrize("max_lag", [20, 63, 64, 100])
+    def test_blocks_match_literal_loop(self, monkeypatch, complex_input, extra, max_lag):
+        # 64-sample blocks, so lags up to and past a whole block cross block edges
+        monkeypatch.setattr(simulator, "_ACF_BLOCK_SAMPLES", 64)
+        rng = np.random.default_rng(max_lag + extra)
+        n = 20 * 64 + extra
+        x = rng.standard_normal(n) + 0.3
+        if complex_input:
+            x = x + 1j * rng.standard_normal(n)
+        got = empirical_acf(x, max_lag)
+        xc = x - x.mean()
+        for m in range(max_lag + 1):
+            direct = np.sum(xc[m:] * np.conj(xc[:n - m])) / n
+            assert got[m] == pytest.approx(direct, rel=1e-12, abs=1e-12 * abs(got[0]))
+        assert np.iscomplexobj(got) == complex_input
+
+    def test_default_blocks_match_literal_loop(self):
+        n = 2 * simulator._ACF_BLOCK_SAMPLES + 7
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        got = empirical_acf(x, 20)
+        xc = x - x.mean()
+        for m in range(21):
+            direct = np.sum(xc[m:] * np.conj(xc[:n - m])) / n
+            assert got[m] == pytest.approx(direct, rel=1e-12, abs=1e-12 * abs(got[0]))
+
     def test_white_noise_lags_vanish(self):
         rng = np.random.default_rng(8)
         n = 1 << 18
@@ -233,7 +263,21 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         sample_array = 16 * config.n_samples
-        assert peak <= 3.25 * sample_array
+        # the samples and their reciprocal while invert runs: 2.06 arrays
+        assert peak <= 2.25 * sample_array
+
+    def test_gate_holds_no_sample_array(self):
+        # the ACF gate centers one block at a time: 0.03 arrays (1.00 with a
+        # full-length centered copy)
+        config = cfg_lorentzian(n_samples=1 << 22, seed=5)
+        w = generate_gaussian(config)
+        tracemalloc.start()
+        try:
+            generator_fidelity_check(config, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * w.nbytes
 
 
 class TestSampleDump:

@@ -16,8 +16,8 @@ from .kernels import (CorrelationKernel, DopplerLorentzian, FlatBand,
                       make_kernel)
 from .series import (SeriesEvaluation, asymptotic_floor, autocorrelation,
                      autocovariance, floor_partial)
-from .specfun import (MathConstants, gauss_2f1_regularized,
-                      hyp3f2_zero_balanced, math_constants, struve_l0)
+from .specfun import (CATALAN, LORENTZIAN_L1_CONSTANT, ZETA3,
+                      gauss_2f1_regularized, hyp3f2_zero_balanced, struve_l0)
 from .spectrum import (SpectrumResult, TauGrid, tail_slope,
                        theoretical_spectrum, welch_covariance_spectrum,
                        welch_expected_spectrum)
@@ -30,8 +30,8 @@ __all__ = [
     "Lorentzian", "Tabulated", "load_tabulated_csv", "make_kernel",
     "SeriesEvaluation", "asymptotic_floor", "autocorrelation",
     "autocovariance", "floor_partial",
-    "MathConstants", "gauss_2f1_regularized",
-    "hyp3f2_zero_balanced", "math_constants", "struve_l0",
+    "CATALAN", "LORENTZIAN_L1_CONSTANT", "ZETA3", "gauss_2f1_regularized",
+    "hyp3f2_zero_balanced", "struve_l0",
     "SpectrumResult", "TauGrid", "tail_slope", "theoretical_spectrum",
     "welch_covariance_spectrum", "welch_expected_spectrum",
 ]

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError, finite_positive
 from .kernels import (CorrelationKernel, DopplerLorentzian, FlatBand,
                       GaussianKernel, Lorentzian)
-from .specfun import hyp3f2_zero_balanced, math_constants
+from .specfun import LORENTZIAN_L1_CONSTANT, hyp3f2_zero_balanced
 
 #: panels, and Gauss-Legendre nodes per panel, of :func:`_graded_integral`
 _PANELS = 22
@@ -59,7 +59,7 @@ def _graded_integral(f, tau_max: float) -> float:
 def lorentzian_l1_bound(a: float) -> float:
     """Closed-form L1 majorant for r = exp(-a|tau|): (28 zeta(3)/pi - 8 C)/a."""
     a = finite_positive(a, "decay rate")
-    return math_constants().lorentzian_l1_constant / a
+    return LORENTZIAN_L1_CONSTANT / a
 
 
 def lorentzian_l1_numeric(a: float) -> float:

@@ -196,7 +196,7 @@ def cmd_simulate(p: dict, manifest: RunManifest) -> int:
     report = {
         "metrics": result.metrics,
         "fidelity": result.fidelity,
-        "n_zero_denominators": result.diagnostics.n_zero_denominators,
+        "n_zero_denominators": result.n_zero_denominators,
         "dc_line_power_theory": result.theoretical.dc_line_power,
         "dc_line_power_empirical": result.empirical.dc_line_power,
         "stage_s": result.stage_s,
@@ -281,8 +281,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         params = _resolve(args)
-        manifest = RunManifest(args.command, params, seed=params.get("seed"),
-                               package_version=__version__)
+        manifest = RunManifest(args.command, params, seed=params.get("seed"))
         code = COMMANDS[args.command][2](params, manifest)
         manifest.write(os.path.join(params["out_dir"], "manifest.json"))
         return code

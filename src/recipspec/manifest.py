@@ -9,6 +9,8 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 
+from . import __version__
+
 MANIFEST_SCHEMA = "recipspec.manifest/1"
 
 
@@ -72,15 +74,14 @@ def sha256_of(path) -> str:
 
 @dataclass
 class RunManifest:
-    """Record of one CLI invocation: resolved parameters and emitted files."""
+    """Record of one CLI invocation: resolved parameters and emitted files,
+    under ``MANIFEST_SCHEMA`` and the package version."""
 
     subcommand: str
     parameters: dict
     seed: int | None = None
     outputs: list = field(default_factory=list)
     wall_time_s: float | None = None
-    package_version: str = ""
-    schema: str = MANIFEST_SCHEMA
     _t0: float = field(default_factory=time.monotonic, repr=False)
 
     def add_output(self, path) -> None:
@@ -89,9 +90,9 @@ class RunManifest:
     def finalize(self) -> dict:
         self.wall_time_s = time.monotonic() - self._t0
         return {
-            "schema": self.schema,
+            "schema": MANIFEST_SCHEMA,
             "subcommand": self.subcommand,
-            "package_version": self.package_version,
+            "package_version": __version__,
             "parameters": self.parameters,
             "seed": self.seed,
             "outputs": self.outputs,

@@ -66,7 +66,12 @@ class McResult:
     estimate: complex
     stderr: float
     n_samples: int
-    n_batches: int
+
+
+#: batches whose means give the Monte-Carlo standard error
+MC_BATCHES = 200
+#: nodes per angle of the Struve check's equal angular grids (even)
+STRUVE_NODES = 1 << 20
 
 
 def _radial_rule(spec: QuadratureSpec):
@@ -212,71 +217,62 @@ def omega_n_quadrature(n: int, r: complex, spec: QuadratureSpec = DEFAULT_QUADRA
                                lambda s, rule: _omega_n_single(n, r, s, rule), spec, rules)
 
 
-def rss_montecarlo(r: complex, omega, n_samples: int, seed: int,
-                   n_batches: int = 200) -> McResult:
+def rss_montecarlo(r: complex, omega, n_samples: int, seed: int) -> McResult:
     """Monte-Carlo estimate of the defining expectation.
 
     Samples the second time point as a unit circular complex Gaussian and the
     first as r * w2 + sqrt(1-|r|^2) * z, which realizes E[w1 conj(w2)] = r,
     then averages 1/((w + w1)(w + conj(w2))).  The integrand has infinite
-    second moment near the pole, so the standard error comes from batch means
-    (>= 100 batches), never from the naive single-pass variance.
+    second moment near the pole, so the standard error comes from the means
+    of ``MC_BATCHES`` batches, never from the naive single-pass variance.
     """
     r = complex(r)
     if not abs(r) < 1.0:
         raise DomainError(f"Monte Carlo requires |r| < 1, got {abs(r)}")
-    # at least 100 batches for the stderr estimate, of at least 2 samples each
-    integer_at_least(n_batches, "n_batches", 100)
-    integer_at_least(n_samples, "n_samples", 2 * n_batches)
+    integer_at_least(n_samples, "n_samples", 2 * MC_BATCHES)  # at least 2 per batch
     w = finite_nonnegative(omega, "omega")
     rng = np.random.default_rng(integer_at_least(seed, "seed", 0))
-    batch = n_samples // n_batches
+    batch = n_samples // MC_BATCHES
     cross = math.sqrt(1.0 - abs(r) ** 2)
-    means = np.empty(n_batches, dtype=complex)
-    for b in range(n_batches):
+    means = np.empty(MC_BATCHES, dtype=complex)
+    for b in range(MC_BATCHES):
         w2 = (rng.standard_normal(batch) + 1j * rng.standard_normal(batch)) / math.sqrt(2)
         z = (rng.standard_normal(batch) + 1j * rng.standard_normal(batch)) / math.sqrt(2)
         w1 = r * w2 + cross * z
         means[b] = np.mean(1.0 / ((w + w1) * (w + np.conj(w2))))
     est = means.mean()
-    stderr = math.sqrt((means.real.var(ddof=1) + means.imag.var(ddof=1)) / n_batches)
-    return McResult(estimate=complex(est), stderr=stderr,
-                    n_samples=batch * n_batches, n_batches=n_batches)
+    stderr = math.sqrt((means.real.var(ddof=1) + means.imag.var(ddof=1)) / MC_BATCHES)
+    return McResult(estimate=complex(est), stderr=stderr, n_samples=batch * MC_BATCHES)
 
 
-def angular_struve_check(x: float, n_nodes: int = 1 << 20) -> float:
+def angular_struve_check(x: float) -> float:
     """Periodic-trapezoid value of the angular absolute integral over 4 pi^2.
 
     The double angular integral of |exp(-x cos(q1-q2)) - 1| collapses to a
-    single difference variable on equal grids; the result should equal the
-    modified Struve function L0(x).
+    single difference variable on equal grids of ``STRUVE_NODES`` nodes; the
+    result should equal the modified Struve function L0(x).
     """
     x = finite_nonnegative(x, "angular_struve_check x")
-    integer_at_least(n_nodes, "n_nodes", 1)
-    # node j and node n_nodes - j share a cosine: sum the open half circle twice
-    half = (n_nodes + 1) // 2
-    total = 0.0
-    chunk = 1 << 20
-    for lo in range(1, half, chunk):
-        u = 2.0 * math.pi * np.arange(lo, min(lo + chunk, half)) / n_nodes
-        total += float(np.sum(np.abs(np.exp(-x * np.cos(u)) - 1.0)))
-    total = 2.0 * total + abs(math.exp(-x) - 1.0)
-    if n_nodes % 2 == 0:
-        total += abs(math.exp(x) - 1.0)  # u = pi
-    return total / n_nodes
+    # node j and node N - j share a cosine: sum the open half circle twice,
+    # then add u = 0 and u = pi once
+    u = 2.0 * math.pi * np.arange(1, STRUVE_NODES // 2) / STRUVE_NODES
+    total = 2.0 * float(np.sum(np.abs(np.exp(-x * np.cos(u)) - 1.0))) + abs(math.exp(-x) - 1.0)
+    total += abs(math.exp(x) - 1.0)
+    return total / STRUVE_NODES
 
 
-def abs_convergence_check(abs_r: float,
-                          spec: QuadratureSpec = DEFAULT_QUADRATURE):
+def abs_convergence_check(abs_r: float):
     """Numeric absolute-value integral versus its closed-form majorant.
 
     Returns (lhs, rhs); absolute convergence of the reduced integral requires
     lhs < rhs = 4 pi^2 (1-|r|^2)^(-1/2) (pi + 2 atan(|r|/sqrt(1-|r|^2))).
-    The radial truncation adapts to the (1-|r|) decay of the diagonal ridge,
-    and the exponent is assembled before exponentiation to avoid overflow.
+    The rule is ``DEFAULT_QUADRATURE``'s, with the radial truncation widened
+    to the (1-|r|) decay of the diagonal ridge; the exponent is assembled
+    before exponentiation to avoid overflow.
     """
     if not 0.0 <= abs_r < 1.0:
         raise DomainError(f"requires |r| < 1, got {abs_r}")
+    spec = DEFAULT_QUADRATURE
     v_max = max(spec.v_max, 6.0 / math.sqrt(1.0 - abs_r))
     nrad = max(spec.radial_nodes, int(spec.radial_nodes * v_max / spec.v_max) + 1)
     wide = QuadratureSpec(spec.angular_nodes, nrad, v_max, spec.target_abs_tol)

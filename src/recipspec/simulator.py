@@ -13,10 +13,10 @@ Generation is chunked, with one counter-based RNG stream per chunk keyed on
 depend on how chunks are scheduled.
 
 Memory: every full-length stage works in place or in cache-sized blocks, so
-at its peak a run holds two sample-length arrays (the samples and their
-reciprocal, while ``invert`` runs) and no stage makes a full-length copy:
-the ACF gate centers one block at a time and Welch forms its segments as a
-strided view, copying one block of them at a time.
+a run holds one sample-length array and no stage makes a full-length copy:
+``invert`` overwrites the samples with their reciprocal, the ACF gate
+centers one block at a time and Welch forms its segments as a strided view,
+copying one block of them at a time.
 """
 
 from __future__ import annotations
@@ -180,26 +180,21 @@ def load_samples(path) -> np.ndarray:
     return np.fromfile(path, dtype="<c16")
 
 
-@dataclass(frozen=True)
-class InversionDiagnostics:
-    n_zero_denominators: int
-
-
-def invert(samples: np.ndarray, omega, r_ww0: float = 1.0):
-    """Apply s = 1/(omega*sqrt(R_ww0) + w), taking the mean real without loss.
+def invert(samples: np.ndarray, omega):
+    """Apply s = 1/(omega + w) in place to unit-power samples w; return (s, n_zero).
 
     The statistics of the result depend on the mean only through its
-    magnitude, so the offset is placed on the real axis.  Exact zero
-    denominators are left as the IEEE division produces them (infinities) and
-    only counted, never dropped.  The result is one new array; ``samples`` is
-    left unchanged.
+    magnitude, so the offset is placed on the real axis.  ``samples`` (a
+    complex array) is overwritten with the reciprocal, which is returned as
+    ``s``.  Exact zero denominators are left as the IEEE division produces
+    them (infinities) and only counted, as ``n_zero``, never dropped.
     """
     w = finite_nonnegative(omega, "omega")
-    denom = w * math.sqrt(finite_positive(r_ww0, "process power")) + samples
-    n_zero = int(np.count_nonzero(denom == 0))
+    samples += w
+    n_zero = int(np.count_nonzero(samples == 0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.divide(1.0, denom, out=denom)
-    return s, InversionDiagnostics(n_zero_denominators=n_zero)
+        s = np.divide(1.0, samples, out=samples)
+    return s, n_zero
 
 
 def empirical_acf(samples: np.ndarray, max_lag: int) -> np.ndarray:
@@ -258,7 +253,7 @@ class ExperimentResult:
     expected: SpectrumResult
     metrics: dict
     fidelity: dict
-    diagnostics: InversionDiagnostics
+    n_zero_denominators: int
     #: wall seconds of each stage: generate, gate, invert, welch,
     #: welch_expected and theory
     stage_s: dict
@@ -327,8 +322,7 @@ def run_experiment(config: SimulationConfig, order: Optional[int] = None,
     with _timed(stage_s, "gate"):
         fidelity = generator_fidelity_check(config, w_seq)
     with _timed(stage_s, "invert"):
-        s, diag = invert(w_seq, config.omega)
-    del w_seq  # only the reciprocal is needed from here on
+        s, n_zero = invert(w_seq, config.omega)
     with _timed(stage_s, "welch"):
         empirical = welch_covariance_spectrum(s, config.dt, segment_len=segment_len)
         # mean |s - mean|^2, without a centered copy of s
@@ -348,4 +342,5 @@ def run_experiment(config: SimulationConfig, order: Optional[int] = None,
     metrics["order"] = order
     return ExperimentResult(empirical=empirical, theoretical=theoretical,
                             expected=expected, metrics=metrics,
-                            fidelity=fidelity, diagnostics=diag, stage_s=stage_s)
+                            fidelity=fidelity, n_zero_denominators=n_zero,
+                            stage_s=stage_s)

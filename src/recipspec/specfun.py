@@ -12,7 +12,7 @@ the callers only ever need:
   whose nodes are computed at each call rather than at import, so paths
   that never need the 3F2 never pay for them,
 * the modified Struve function L0,
-* a couple of classical constants.
+* the classical constants of the integrability bounds.
 
 Gamma factors only ever occur at integer and half-integer arguments, where the
 recurrence from Gamma(1) = 1 and Gamma(1/2) = sqrt(pi) is exact; for
@@ -23,7 +23,6 @@ the regularized 2F1 finite there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,21 +44,11 @@ _GRID_BLOCK_FIRST = 8
 _GRID_BLOCK_MAX = 64
 
 
-@dataclass(frozen=True)
-class MathConstants:
-    """Classical constants used by the integrability bounds (published values)."""
-
-    zeta3: float = 1.2020569031595942854
-    catalan: float = 0.9159655941772190151
-
-    @property
-    def lorentzian_l1_constant(self) -> float:
-        """28*zeta(3)/pi - 8*C, the closed constant of the exponential-kernel bound."""
-        return 28.0 * self.zeta3 / math.pi - 8.0 * self.catalan
-
-
-def math_constants() -> MathConstants:
-    return MathConstants()
+#: Apery's constant zeta(3) and Catalan's constant C (published values)
+ZETA3 = 1.2020569031595942854
+CATALAN = 0.9159655941772190151
+#: 28 zeta(3)/pi - 8 C, the closed constant of the exponential-kernel L1 bound
+LORENTZIAN_L1_CONSTANT = 28.0 * ZETA3 / math.pi - 8.0 * CATALAN
 
 
 def _int_gamma(c: int) -> float:

@@ -12,7 +12,7 @@ from recipspec.bounds import (covariance_l1_numeric, gaussian_l1_bound,
 from recipspec.errors import DomainError
 from recipspec.kernels import (DopplerLorentzian, FlatBand, GaussianKernel,
                                Lorentzian, Tabulated)
-from recipspec.specfun import hyp3f2_zero_balanced, math_constants
+from recipspec.specfun import LORENTZIAN_L1_CONSTANT, hyp3f2_zero_balanced
 
 
 class TestIntegrand:
@@ -47,7 +47,7 @@ class TestIntegrand:
 class TestLorentzianBound:
     def test_closed_constant(self):
         assert lorentzian_l1_bound(1.0) == pytest.approx(
-            math_constants().lorentzian_l1_constant, rel=1e-15)
+            LORENTZIAN_L1_CONSTANT, rel=1e-15)
         assert lorentzian_l1_bound(1.0) == pytest.approx(3.3858, abs=1e-4)
 
     def test_scaling(self):
@@ -57,7 +57,7 @@ class TestLorentzianBound:
     def test_numeric_integral_matches_closed(self):
         for a in (0.5, 1.0, 4.0):
             assert lorentzian_l1_numeric(a) == pytest.approx(
-                math_constants().lorentzian_l1_constant / a, rel=1e-9)
+                LORENTZIAN_L1_CONSTANT / a, rel=1e-9)
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 4.0])
     def test_covariance_integral_is_4_ln2_over_a(self, a):

@@ -118,7 +118,6 @@ ENTRY_POINTS = {
     "SimulationConfig.seed": (lambda x: _config(seed=x), ConfigError,
                               [1.5, 1.0, True, math.nan, -1, 2 ** 64, 2 ** 70]),
     "invert.omega": (lambda x: invert(SAMPLES, x), DomainError, BAD_OMEGA),
-    "invert.r_ww0": (lambda x: invert(SAMPLES, 1.0, r_ww0=x), DomainError, NONFINITE),
     "Lorentzian.a": (lambda x: Lorentzian(a=x), DomainError, NONFINITE),
     "GaussianKernel.a": (lambda x: GaussianKernel(a=x), DomainError, NONFINITE),
     "DopplerLorentzian.a": (lambda x: DopplerLorentzian(a=x), DomainError, NONFINITE),
@@ -133,10 +132,7 @@ ENTRY_POINTS = {
     "rss_montecarlo.r": (lambda x: rss_montecarlo(x, 0.5, 1000, seed=1), DomainError, NONFINITE),
     "rss_montecarlo.seed": (lambda x: rss_montecarlo(0.5, 0.5, 1000, seed=x), DomainError,
                             [1.5, 1.0, True, math.nan, -1]),
-    "rss_montecarlo.n_batches": (lambda x: rss_montecarlo(0.5, 0.5, 10 ** 5, seed=1,
-                                                          n_batches=x),
-                                 DomainError, [150.5, 150.0, 50, True]),
-    # at least 2 samples per batch of the default 200
+    # at least 2 samples per batch of the 200
     "rss_montecarlo.n_samples": (lambda x: rss_montecarlo(0.5, 0.5, x, seed=1), DomainError,
                                  [1e4, 10000.5, 399]),
     "Tabulated.lag": (lambda x: Tabulated([0.0, x, 2.0], [1.0, 0.5, 0.2]),
@@ -145,8 +141,6 @@ ENTRY_POINTS = {
                         DomainError, NONFINITE),
     "struve_l0.x": (struve_l0, DomainError, BAD_OMEGA),
     "angular_struve_check.x": (angular_struve_check, DomainError, BAD_OMEGA),
-    "angular_struve_check.n_nodes": (lambda x: angular_struve_check(1.0, x), DomainError,
-                                     [0, -4, 2.5, 4.0, True]),
     "hyp3f2_zero_balanced.z": (hyp3f2_zero_balanced, DomainError, BAD_UNIT_INTERVAL),
     "l1_integrand.abs_r": (l1_integrand, DomainError, BAD_UNIT_INTERVAL),
 }

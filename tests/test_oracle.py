@@ -211,11 +211,9 @@ class TestMonteCarlo:
         assert abs(res.estimate - asymptotic_floor(1.0)) < 4 * res.stderr
 
     def test_batch_layout(self):
-        res = rss_montecarlo(0.3, 0.5, 10 ** 5, seed=1, n_batches=125)
-        assert res.n_batches == 125
-        assert res.n_samples == 125 * (10 ** 5 // 125)
-        with pytest.raises(DomainError):
-            rss_montecarlo(0.3, 0.5, 10 ** 5, seed=1, n_batches=50)
+        # whole batches of MC_BATCHES only: the remainder of n_samples is not drawn
+        res = rss_montecarlo(0.3, 0.5, 10 ** 5 + 7, seed=1)
+        assert res.n_samples == oracle.MC_BATCHES * (10 ** 5 // oracle.MC_BATCHES)
 
     def test_sampling_trick_matches_joint_law(self):
         # the two-variable circular construction used by the MC oracle must
@@ -241,10 +239,10 @@ class TestStruveAndConvergence:
     def test_angular_struve_zero(self):
         assert angular_struve_check(0.0) == 0.0
 
-    @pytest.mark.parametrize("n_nodes", [1 << 20, 1001, 1000])
+    @pytest.mark.parametrize("n_nodes", [oracle.STRUVE_NODES])
     def test_angular_struve_equals_full_node_sum(self, n_nodes):
         for x in (0.1, 1.0, 5.0):
-            assert close_to(angular_struve_check(x, n_nodes), struve_full_sum(x, n_nodes))
+            assert close_to(angular_struve_check(x), struve_full_sum(x, n_nodes))
 
     def test_angular_struve_identity(self):
         for x in (0.1, 1.0, 5.0):
@@ -263,11 +261,10 @@ class TestStruveAndConvergence:
         assert rhs == pytest.approx(4 * math.pi ** 3, rel=1e-15)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
-    @pytest.mark.parametrize("spec", [DEFAULT_QUADRATURE, QuadratureSpec(angular_nodes=25)],
-                             ids=["even_angles", "odd_angles"])
+    @pytest.mark.parametrize("spec", [DEFAULT_QUADRATURE], ids=["even_angles"])
     def test_abs_convergence_equals_full_sum(self, spec):
         for absr in (0.0, 0.3, 0.99):
-            lhs, _ = abs_convergence_check(absr, spec)
+            lhs, _ = abs_convergence_check(absr)
             assert close_to(lhs, abs_convergence_full_sum(absr, spec))
 
     def test_abs_convergence_margins(self):

@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from recipspec import specfun
 from recipspec.errors import AccuracyError, DomainError
-from recipspec.specfun import (gauss_2f1_regularized,
-                               gauss_2f1_regularized_grid,
-                               hyp3f2_zero_balanced, math_constants, struve_l0)
+from recipspec.specfun import (CATALAN, LORENTZIAN_L1_CONSTANT, ZETA3,
+                               gauss_2f1_regularized, gauss_2f1_regularized_grid,
+                               hyp3f2_zero_balanced, struve_l0)
 
 
 def f21reg_rational(a, b, c, z: Fraction) -> Fraction:
@@ -252,7 +252,7 @@ class TestConstants:
         n = 20000
         k = np.arange(1, n + 1, dtype=float)
         s = float(np.sum(1.0 / k ** 3)) + 1 / (2 * n ** 2) - 1 / (2 * n ** 3) + 1 / (4 * n ** 4)
-        assert math_constants().zeta3 == pytest.approx(s, abs=1e-15)
+        assert ZETA3 == pytest.approx(s, abs=1e-15)
 
     def test_catalan_by_paired_summation(self):
         # pair consecutive alternating terms into a positive 1/k^3-type series,
@@ -261,10 +261,9 @@ class TestConstants:
         k = np.arange(big_k, dtype=float)
         pairs = 1.0 / (4.0 * k + 1.0) ** 2 - 1.0 / (4.0 * k + 3.0) ** 2
         s = math.fsum(pairs.tolist()) + 1.0 / (32.0 * big_k ** 2)
-        assert math_constants().catalan == pytest.approx(s, abs=2e-15)
+        assert CATALAN == pytest.approx(s, abs=2e-15)
 
     def test_lorentzian_constant(self):
-        c = math_constants()
-        expected = 28 * c.zeta3 / math.pi - 8 * c.catalan
-        assert c.lorentzian_l1_constant == pytest.approx(expected, rel=1e-15)
-        assert c.lorentzian_l1_constant == pytest.approx(3.38582, abs=1e-5)
+        expected = 28 * ZETA3 / math.pi - 8 * CATALAN
+        assert LORENTZIAN_L1_CONSTANT == pytest.approx(expected, rel=1e-15)
+        assert LORENTZIAN_L1_CONSTANT == pytest.approx(3.38582, abs=1e-5)

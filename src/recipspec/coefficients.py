@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedOrderError, integer_at_least
+from .errors import DomainError, UnsupportedOrderError, even_at_least, integer_at_least
 from .kernels import CorrelationKernel
 from .specfun import gauss_2f1_regularized_grid
 
@@ -84,8 +84,7 @@ def omega_bound(n: int, abs_r):
     Valid for even n >= 2 and |r| < 1 (one value or an array).  Loose by design;
     used as an inequality gate and as the term majorant behind series tail estimates.
     """
-    if integer_at_least(n, "order", 2) % 2 == 1:
-        raise DomainError("bound defined for even n >= 2")
+    even_at_least(n, "order", 2)
     abs_r = np.asarray(abs_r, dtype=float)
     bad = ~((0.0 <= abs_r) & (abs_r < 1.0))
     if bad.any():
@@ -379,8 +378,7 @@ def build_table(kernel: CorrelationKernel, lags, max_order: int) -> CoefficientT
     diverges; midpoint grids (tau = (k+1/2) dtau) are the intended callers.
     An empty grid gives an empty table.
     """
-    if integer_at_least(max_order, "max_order", 0) % 2 == 1:
-        raise DomainError("max_order must be even")
+    even_at_least(max_order, "max_order")
     lags = np.asarray(lags, dtype=float)
     if np.any(lags == 0.0):
         raise DomainError(

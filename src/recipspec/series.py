@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import omega_bound, omega_limit, omega_n_over_grid
-from .errors import DomainError, finite_nonnegative, integer_at_least
+from .errors import DomainError, even_at_least, finite_nonnegative
 
 #: relative tail-bound level above which a SeriesEvaluation is flagged
 TAIL_FLAG_RELATIVE = 1e-3
@@ -54,11 +54,6 @@ def asymptotic_floor(omega) -> float:
     return ((1.0 - math.exp(-w * w)) / w) ** 2
 
 
-def _check_order(order) -> None:
-    if integer_at_least(order, "truncation order", 0) % 2 == 1:
-        raise DomainError("truncation order must be even")
-
-
 def partial_sum(rows, orders, omega):
     """sum_i rows[i] w^orders[i]/orders[i]!, lane by lane over the shape of one row."""
     w = finite_nonnegative(omega, "omega")
@@ -71,7 +66,7 @@ def floor_partial(omega, order: int) -> float:
 
     ``order`` must be even and nonnegative, as for :func:`autocorrelation`.
     """
-    _check_order(order)
+    even_at_least(order, "truncation order")
     orders = range(0, order + 1, 2)
     return float(partial_sum([omega_limit(n) for n in orders], orders, omega))
 
@@ -113,7 +108,7 @@ def autocorrelation(r, omega, order: int = 20) -> SeriesEvaluation:
     abs_r = np.abs(r)
     if not np.all(abs_r < 1.0):
         raise DomainError(f"series requires |r| < 1, got {abs_r[~(abs_r < 1.0)][0]}")
-    _check_order(order)
+    even_at_least(order, "truncation order")
     orders = range(0, order + 1, 2)
     rows = [omega_n_over_grid(n, r) for n in orders]
     return SeriesEvaluation(value=partial_sum(rows, orders, w),

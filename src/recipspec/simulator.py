@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (ConfigError, DomainError, StatisticalQualityError,
-                     finite_nonnegative, finite_positive, integer_at_least)
+                     even_at_least, finite_nonnegative, finite_positive, integer_at_least)
 from .kernels import CorrelationKernel, FlatBand, Lorentzian
 from .manifest import atomic_write_text, atomic_write_via, dump_json
 from .spectrum import (SpectrumResult, theoretical_spectrum, TauGrid, hann_window,
@@ -306,8 +306,7 @@ def run_experiment(config: SimulationConfig, order: Optional[int] = None,
     if order is None:
         order = 10 if isinstance(config.kernel, FlatBand) else 20
     # a bad order or segment length fails before any sample is drawn
-    if integer_at_least(order, "order", 0) % 2 == 1:
-        raise DomainError(f"order must be even, got {order}")
+    even_at_least(order, "order")
     hann_window(segment_len)
     welch_layout(config.n_samples, segment_len)
     if segment_len % 2:

@@ -37,9 +37,10 @@ MAX_TERMS = 10 ** 6
 #: nodes of the 3F2's Gauss-Legendre rule on [-1, 1]
 _HYP3F2_NODES = 64
 
-#: terms per block of the grid 2F1 series: the first block, and the cap on
-#: the doubling after it.  Each block costs a fixed number of numpy calls, and
-#: the terms a block computes past the returning term are wasted.
+#: terms per block of the grid 2F1 series: the first block and the tested
+#: terms a block that reaches m_safe ends with, and the cap on every block.
+#: Each block costs a fixed number of numpy calls, and the terms a block
+#: computes past the returning term are wasted.
 _GRID_BLOCK_FIRST = 8
 _GRID_BLOCK_MAX = 64
 
@@ -81,23 +82,28 @@ def gauss_2f1_regularized_grid(a: int, b: int, c: int, z: np.ndarray) -> np.ndar
     value therefore depends on the other lanes of its call through zmax and
     the shared stopping term; a one-lane call is the per-point series.
 
-    That series is summed in blocks of terms: ``_GRID_BLOCK_FIRST`` terms,
-    then twice as many per block up to ``_GRID_BLOCK_MAX``.  A block is one
-    cumulative product of ratio*z along each lane, seeded with the lane's
-    running term, and one cumulative sum seeded with its running sum: the same
-    multiplications and the same left-to-right additions as the recurrence,
-    so every partial sum is bit for bit the recurrence's.  The tail test is
-    applied at every term, and the result is returned at the first term where
-    it holds on every lane still being summed.
+    That series is summed in blocks of terms.  No term before m_safe can
+    pass the tail test, so a block that starts short of m_safe ends
+    ``_GRID_BLOCK_FIRST`` terms past it; other blocks run ``_GRID_BLOCK_FIRST``
+    terms, doubling per block.  No block exceeds ``_GRID_BLOCK_MAX`` terms, so
+    a family with m_safe - m0 > 56 takes a capped block before the one that
+    reaches m_safe.  A block is one cumulative product of ratio*z along each
+    lane, seeded with the lane's running term, and one cumulative sum seeded
+    with its running sum: the same multiplications and the same left-to-right
+    additions as the recurrence, so every partial sum is bit for bit the
+    recurrence's.  The tail test runs on the block's tested terms only (past
+    m_safe, where q < 1), and the result is returned at the first of them
+    where it holds on every lane still being summed.
 
-    Retirement: at the end of a block a lane whose tail test holds and whose
-    last term left its sum unchanged (s + t == s) is written out and no longer
-    summed.  Its sum is then final provided the terms are nonnegative, which
-    holds for a >= 1, b >= 1 and so for every triple the coefficient table
-    passes: once q < 1 no later term exceeds the last one, and rounding is
-    monotone, so no later term can change the sum, and the recurrence would
-    have returned the same value.  Without that precondition each lane still
-    stops only when its own tail bound clears REL_TOL.
+    Retirement: at the end of a block whose last term is tested, a lane whose
+    tail test holds there and whose last term left its sum unchanged
+    (s + t == s) is written out and no longer summed.  Its sum is then final
+    provided the terms are nonnegative, which holds for a >= 1, b >= 1 and so
+    for every triple the coefficient table passes: once q < 1 no later term
+    exceeds the last one, and rounding is monotone, so no later term can
+    change the sum, and the recurrence would have returned the same value.
+    Without that precondition each lane still stops only when its own tail
+    bound clears REL_TOL.
 
     Raises DomainError outside z in [0,1) and AccuracyError, carrying the
     partial sums of every lane (retired ones included) after ``MAX_TERMS``
@@ -135,7 +141,8 @@ def gauss_2f1_regularized_grid(a: int, b: int, c: int, z: np.ndarray) -> np.ndar
     zl, tl, sl = z.reshape(-1), t.reshape(-1), done.copy()
     block = _GRID_BLOCK_FIRST
     while m - m0 < MAX_TERMS:
-        k = min(block, MAX_TERMS - (m - m0))
+        k = min(max(block, m_safe - m + _GRID_BLOCK_FIRST), _GRID_BLOCK_MAX,
+                MAX_TERMS - (m - m0))
         block = min(2 * block, _GRID_BLOCK_MAX)
         # integer-valued floats, so products and ratios round as in the term-by-term recurrence
         ms = np.arange(m, m + k, dtype=float)
@@ -148,18 +155,19 @@ def gauss_2f1_regularized_grid(a: int, b: int, c: int, z: np.ndarray) -> np.ndar
         np.cumsum(sums, axis=1, out=sums)
         # column i holds term m + 1 + i; the tail test applies past m_safe where q < 1
         q = np.maximum(np.abs(ratio) * zmax, zmax)
-        tested = (ms >= m_safe) & (q < 1.0)
+        cols = np.flatnonzero((ms >= m_safe) & (q < 1.0))
         m += k
-        if tested.any():
-            q = np.where(tested, q, 0.0)  # no division by 1 - q <= 0 on untested columns
-            ok = np.abs(terms) * q / (1.0 - q) <= REL_TOL * np.abs(sums) + 1e-300
-            ok &= tested
+        if cols.size:
+            qc = q[cols]
+            ok = (np.abs(terms[:, cols]) * qc / (1.0 - qc)
+                  <= REL_TOL * np.abs(sums[:, cols]) + 1e-300)
             hit = np.flatnonzero(ok.all(axis=0))
             if hit.size:
-                done[lane] = sums[:, hit[0]]
+                done[lane] = sums[:, cols[hit[0]]]
                 return s
+            # ok[:, -1] is the last tested column, the block's last term only if tested
             prev = sums[:, -2] if k > 1 else sl
-            fin = ok[:, -1] & (sums[:, -1] == prev)
+            fin = ok[:, -1] & (sums[:, -1] == prev) & (cols[-1] == k - 1)
             if fin.any():
                 done[lane[fin]] = sums[fin, -1]
                 keep = ~fin

@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .coefficients import build_table
 from .errors import (ConsistencyError, DomainError, StatisticalQualityError,
-                     finite_nonnegative, finite_positive, integer_at_least)
+                     even_at_least, finite_nonnegative, finite_positive, integer_at_least)
 from .kernels import CorrelationKernel, FlatBand
 from .series import SeriesEvaluation, asymptotic_floor, partial_sum, tail_bound
 
@@ -148,11 +148,13 @@ def theoretical_spectrum(kernel: CorrelationKernel, omega, order: int,
     before transforming; the sinc covariance decays only like 1/tau and plain
     truncation would ring.  This is a documented leakage-control bias.
 
-    Raises DomainError for a non-finite or negative omega, before any table
-    is built, and ConsistencyError when the transform's imaginary residue is
-    above 1e-10 of the peak or not a number.
+    Raises DomainError for a non-finite or negative omega or an order that
+    is not an even integer >= 0, before any table is built, and
+    ConsistencyError when the transform's imaginary residue is above 1e-10
+    of the peak or not a number.
     """
     w = finite_nonnegative(omega, "omega")
+    even_at_least(order, "order")
     lags = grid.positive_lags()
     table = build_table(kernel, lags, order)
     chat = partial_sum(table.centered, table.orders, w)

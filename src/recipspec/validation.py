@@ -8,6 +8,7 @@ the end-to-end simulation comparisons and the byte-determinism check.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import tempfile
@@ -93,17 +94,19 @@ def check_odd_orders():
 def check_oracle_equivalence():
     """Series (order 20) vs quadrature < 1e-4 absolute; MC within 3 stderr."""
     rules = oracle.radial_rules(TIGHT_QUAD)
+    # each point once: two Monte Carlo points are also series points
+    quadrature = functools.cache(
+        lambda absr, w: oracle.rss_quadrature(absr, w, TIGHT_QUAD, rules=rules).value)
     worst = 0.0
     absrs = (0.3, 0.6, 0.9)
     for w in (0.0, 0.5, 1.0, 1.2):
         values = series.autocorrelation(np.array(absrs), w, order=20).value
         for absr, s in zip(absrs, values):
-            q = oracle.rss_quadrature(absr, w, TIGHT_QUAD, rules=rules).value
-            worst = max(worst, abs(s - q))
+            worst = max(worst, abs(s - quadrature(absr, w)))
     mc_ok = True
     mc_rows = []
     for i, (absr, w) in enumerate([(0.5, 0.5), (0.3, 1.0), (0.9, 1.2)]):
-        q = oracle.rss_quadrature(absr, w, TIGHT_QUAD, rules=rules).value
+        q = quadrature(absr, w)
         mc = oracle.rss_montecarlo(absr, w, 10 ** 7, seed=900 + i)
         pull = abs(mc.estimate - q) / mc.stderr
         mc_rows.append({"abs_r": absr, "omega": w, "pull": pull,

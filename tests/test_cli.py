@@ -123,6 +123,14 @@ class TestSpectrum:
                    "--dtau", "0.2", "--half-points", "32") == 0
         assert sorted(p.name for p in alone.glob("spectrum_*.csv")) == ["spectrum_omega0.csv"]
 
+    def test_odd_order_exits_2_naming_the_order(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = run(out, "spectrum", "--omega", "0,0.4", "--order", "3", "--dtau", "0.2",
+                 "--half-points", "32")
+        assert rc == 2
+        assert capsys.readouterr().err == "error: order must be even, got 3\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--omega", "nan"), ("--a", "inf"),
                                              ("--omega", "0.4,abc")])
     def test_bad_number_exits_2(self, tmp_path, capsys, flag, value):

@@ -87,6 +87,8 @@ ENTRY_POINTS = {
     "floor_partial.order": (lambda x: floor_partial(0.5, x), DomainError, BAD_ORDER + [3]),
     "theoretical_spectrum.omega": (lambda x: theoretical_spectrum(Lorentzian(1.0), x, 4, GRID),
                                    DomainError, BAD_OMEGA),
+    "theoretical_spectrum.order": (lambda x: theoretical_spectrum(Lorentzian(1.0), 0.5, x, GRID),
+                                   DomainError, BAD_ORDER + [3]),
     "welch_expected_spectrum.omega": (lambda x: _welch(omega=x), DomainError, BAD_OMEGA),
     "welch_expected_spectrum.zero_lag_value": (lambda x: _welch(zero_lag_value=x),
                                                DomainError, BAD_OMEGA),
@@ -169,7 +171,8 @@ def test_array_entry_point_rejects_one_bad_lane(call):
 
 @pytest.mark.parametrize("call", [
     lambda: _welch(zero_lag_value=math.nan),
-], ids=["welch_expected_spectrum.zero_lag_value"])
+    lambda: theoretical_spectrum(Lorentzian(1.0), 0.5, 3, GRID),
+], ids=["welch_expected_spectrum.zero_lag_value", "theoretical_spectrum.order"])
 def test_spectrum_checks_run_before_the_table(call, monkeypatch):
     def refuse(*args):
         raise AssertionError("coefficient table built for a bad input")

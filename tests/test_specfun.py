@@ -65,19 +65,31 @@ def f21reg_grid_termwise(a, b, c, z, max_terms=10 ** 6):
     raise AccuracyError("no convergence", partial_value=s, tail_estimate=None)
 
 
-#: the (a, b, c) triples of the Omega_n double sum for every even n <= 20
-#: whose series does not terminate (b >= 1)
-TABLE_FAMILIES = sorted({(1 + j, 1 + j - k + n // 2, 2 + 2 * j - k)
-                         for n in range(0, 21, 2) for k in range(n + 1)
-                         for j in range(min(k, n // 2) + 1)
-                         if 1 + j - k + n // 2 >= 1})
+def families(orders):
+    """The (a, b, c) triples of the Omega_n double sum, over the given even
+    orders, whose series does not terminate (b >= 1)."""
+    return sorted({(1 + j, 1 + j - k + n // 2, 2 + 2 * j - k)
+                   for n in orders for k in range(n + 1)
+                   for j in range(min(k, n // 2) + 1)
+                   if 1 + j - k + n // 2 >= 1})
+
+
+def first_block_terms(a, b, c):
+    """Terms the grid 2F1 needs to reach 8 tested terms: m_safe - m0 + 8."""
+    return 2 * (abs(a) + abs(b) + abs(c)) + 8 - (1 - c if c <= 0 else 0) + 8
+
+
+TABLE_FAMILIES = families(range(0, 21, 2))
+#: the families of orders 22-30 whose first block, capped at 64 terms, ends
+#: short of m_safe, so that a second block has to reach it
+DEEP_FAMILIES = [f for f in families(range(22, 31, 2)) if first_block_terms(*f) >= 72]
 
 
 @st.composite
-def z_grids(draw):
-    """Up to a few thousand lanes mixing 0, values below 1e-8, middle values
+def z_grids(draw, max_size=3000):
+    """Up to max_size lanes mixing 0, values below 1e-8, middle values
     and values up to 0.998, so that lanes retire in different blocks."""
-    size = draw(st.integers(1, 3000))
+    size = draw(st.integers(1, max_size))
     top = draw(st.one_of(st.just(0.998), st.floats(1e-8, 0.998)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     kind = rng.integers(0, 3, size)
@@ -142,6 +154,39 @@ class TestGauss2F1Regularized:
     def test_grid_bit_exact_against_termwise_loop(self, abc, z):
         assert np.array_equal(gauss_2f1_regularized_grid(*abc, z),
                               f21reg_grid_termwise(*abc, z))
+
+    @given(st.sampled_from(DEEP_FAMILIES), z_grids(300))
+    @settings(max_examples=10, deadline=None)
+    def test_grid_bit_exact_past_the_first_block_cap(self, abc, z):
+        assert np.array_equal(gauss_2f1_regularized_grid(*abc, z),
+                              f21reg_grid_termwise(*abc, z))
+
+    def test_grid_bit_exact_when_testing_starts_mid_block(self):
+        # a + b - c - 1 = 14 > 0, so |ratio| zmax >= 1 at m_safe = 74 and
+        # the first tested term lies past it, inside a block
+        abc = (8, 16, 9)
+        z = np.array([0.0, 1e-9, 0.05, 0.5, 0.9, 0.998])
+        assert np.array_equal(gauss_2f1_regularized_grid(*abc, z),
+                              f21reg_grid_termwise(*abc, z))
+
+    def test_first_tested_terms_in_one_block(self, monkeypatch):
+        # at the README sweep's z <= 0.09 every order <= 20 family whose
+        # first 8 tested terms fit in one 64-term block returns from it
+        blocks = []
+        cumprod = np.cumprod
+
+        def counting(*args, **kwargs):
+            blocks.append(1)
+            return cumprod(*args, **kwargs)
+        monkeypatch.setattr(np, "cumprod", counting)
+        z = np.random.default_rng(26).uniform(0.0, 0.09, 200)
+        z[:2] = 0.0, 0.09
+        fitting = [abc for abc in TABLE_FAMILIES if first_block_terms(*abc) <= 64]
+        assert len(fitting) == 477
+        for abc in fitting:
+            blocks.clear()
+            gauss_2f1_regularized_grid(*abc, z)
+            assert len(blocks) == 1, abc
 
     @pytest.mark.parametrize("abc", [(1, 1, 2), (3, 4, 2)])
     def test_grid_accuracy_error_carries_partial(self, abc, monkeypatch):

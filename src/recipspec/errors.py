@@ -49,11 +49,11 @@ def integer_at_least(value, name: str, least: int, error=DomainError) -> int:
     return int(value)
 
 
-def even_at_least(value, name: str, least: int = 0, error=DomainError) -> int:
-    """Return ``int(value)`` if it is an even integer >= ``least``, else raise ``error``."""
-    n = integer_at_least(value, name, least, error)
+def even_at_least(value, name: str, least: int = 0) -> int:
+    """Return ``int(value)`` if it is an even integer >= ``least``, else raise DomainError."""
+    n = integer_at_least(value, name, least)
     if n % 2:
-        raise error(f"{name} must be even, got {n}")
+        raise DomainError(f"{name} must be even, got {n}")
     return n
 
 

@@ -154,6 +154,8 @@ def theoretical_spectrum(kernel: CorrelationKernel, omega, order: int,
     of the peak or not a number.
     """
     w = finite_nonnegative(omega, "omega")
+    # build_table checks max_order too; this check names the CLI's option and
+    # fails before the table is built
     even_at_least(order, "order")
     lags = grid.positive_lags()
     table = build_table(kernel, lags, order)

@@ -24,14 +24,16 @@ sends each lane down exactly one of three paths:
   Omega_n = sum_i beta_i (1+r)^-i + b r^-(n/2+1) [ln(1-r^2) + polynomial]
   (see _closed_form_terms); it costs a fixed number of flops whatever r is,
   and each lane's value depends on that lane alone;
-* every other lane, complex r included: the double sum.  It cancels
-  increasingly violently as |r| -> 1 and n grows, so complex r near |r| = 1
-  at high orders is not accurate (README, "High orders").
+* every other lane, complex r included: the double sum, whose grid 2F1
+  stops each lane on its own.  It cancels increasingly violently as
+  |r| -> 1 and n grows, so complex r near |r| = 1 at high orders is not
+  accurate (README, "High orders").
 
 Both exact paths take their coefficients from one exact Taylor expansion of
 the double sum at r = 0 (_expansion), in integers over one common
-denominator, derived on each call.  omega_n_general is the one-lane case of
-omega_n_over_grid.
+denominator, derived on each call.  All three paths work lane by lane, so a
+lane's value does not depend on the grid it is computed in, and
+omega_n_general is the one-lane case of omega_n_over_grid.
 """
 
 from __future__ import annotations
@@ -235,8 +237,8 @@ def omega_n_general(n: int, r: complex) -> complex:
     """Omega_n for arbitrary complex r with |r| < 1.
 
     The one-lane case of :func:`omega_n_over_grid`, so it is bit for bit
-    that function's value on a one-element grid.  Odd n returns exactly 0
-    without evaluating anything.
+    that function's value at r on any grid.  Odd n returns exactly 0 without
+    evaluating anything.
     """
     if integer_at_least(n, "order", 0) % 2 == 1:
         return 0.0 + 0.0j
@@ -303,18 +305,12 @@ def omega_n_over_grid(n: int, r: np.ndarray) -> np.ndarray:
       degree SMALL_R_DEGREE; r = 0 gives omega_limit(n);
     * real r (zero imaginary part) with |r| >= CLOSED_FORM_THRESHOLD: the
       closed form of :func:`_closed_form`;
-    * the rest, complex r included: the double sum.  Its grid 2F1 stops at the
-      whole grid's term count rather than each lane's, so such a lane is not
-      bitwise the same r evaluated alone (as :func:`omega_n_general` does),
-      and near |r| = 1 the two differ by the cancellation error of the sum:
-      for DopplerLorentzian(1, 1) on lags 0.05 (k + 1/2), k < 1024, at
-      tau = 0.075 (|r| = 0.928) they differ by 0.11 of Omega_20 (3.0e-5 of
-      Omega_14); against a 60-digit mpmath double sum the table is off by
-      2.7e-5 and the lone lane by 4.9e-4 of Omega_20 minus its limit.
-      ROADMAP item 4 replaces this path with exact forms.
+    * the rest, complex r included: the double sum, whose grid 2F1 stops
+      each lane on its own.
 
-    The first two paths work lane by lane, so there a lane's value is bitwise
-    the same alone as inside any grid.  Odd n gives zeros.
+    All three paths work lane by lane, so a lane's value is bitwise the same
+    alone (as :func:`omega_n_general` computes it) as inside any grid.  Odd n
+    gives zeros.
     """
     integer_at_least(n, "order", 0)
     r = np.asarray(r, dtype=complex)

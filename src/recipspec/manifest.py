@@ -8,6 +8,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from . import __version__
 
@@ -35,22 +36,13 @@ def dump_json(obj, **kw) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a temporary file in the target directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Write ``text`` to ``path`` through :func:`atomic_write_via`."""
+    atomic_write_via(path, lambda tmp: Path(tmp).write_text(text))
 
 
 def atomic_write_via(path, writer) -> None:
-    """Run ``writer(tmp_path)`` and atomically move the result into place."""
+    """Run ``writer(tmp_path)`` on a temporary file in the target directory,
+    then rename it into place; the temporary file is removed on failure."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")

@@ -55,10 +55,17 @@ def asymptotic_floor(omega) -> float:
 
 
 def partial_sum(rows, orders, omega):
-    """sum_i rows[i] w^orders[i]/orders[i]!, lane by lane over the shape of one row."""
+    """sum_i rows[i] w^orders[i]/orders[i]!, lane by lane over the shape of one row.
+
+    The orders are added one at a time, so a lane is summed in the same order
+    whatever the shape of the rows (numpy sums a single lane pairwise).
+    """
     w = finite_nonnegative(omega, "omega")
-    wpow = np.array([w ** n / math.factorial(n) for n in orders])
-    return (wpow.reshape(-1, *[1] * (np.ndim(rows) - 1)) * rows).sum(axis=0)
+    terms = (w ** n / math.factorial(n) * row for row, n in zip(rows, orders))
+    total = next(terms)
+    for term in terms:
+        total = total + term
+    return total
 
 
 def floor_partial(omega, order: int) -> float:

@@ -37,10 +37,11 @@ MAX_TERMS = 10 ** 6
 #: nodes of the 3F2's Gauss-Legendre rule on [-1, 1]
 _HYP3F2_NODES = 64
 
-#: terms per block of the grid 2F1 series: the first block and the tested
-#: terms a block that reaches m_safe ends with, and the cap on every block.
-#: Each block costs a fixed number of numpy calls, and the terms a block
-#: computes past the returning term are wasted.
+#: terms per block of the grid 2F1 series: the first block and the terms
+#: past m_safe that a block reaching m_safe ends with, and the cap on every
+#: block.  Each block costs a fixed number of numpy calls, and lanes retire
+#: only at block ends, so the terms a block computes past a lane's final sum
+#: are wasted.
 _GRID_BLOCK_FIRST = 8
 _GRID_BLOCK_MAX = 64
 
@@ -75,35 +76,28 @@ def gauss_2f1_regularized_grid(a: int, b: int, c: int, z: np.ndarray) -> np.ndar
     sum starts at m0 = 1-c and stays finite.  Parameters are integers by
     construction of the callers.
 
-    The result of the non-terminating series equals that recurrence run on
-    every lane until the tail test |t| q/(1-q) <= REL_TOL |s|, with
-    q = max(|ratio| zmax, zmax) over the whole grid and applied past
-    m_safe = 2(|a|+|b|+|c|)+8 terms, holds on all lanes at once.  A lane's
-    value therefore depends on the other lanes of its call through zmax and
-    the shared stopping term; a one-lane call is the per-point series.
+    Otherwise each lane's value is that recurrence run on the lane alone
+    until a term past m_safe = 2(|a|+|b|+|c|)+8 meets three tests: the lane's
+    own q = max(|ratio| z, z) is below 1, the term left the sum unchanged
+    (s + t == s), and the tail bound |t| q/(1-q) is at most REL_TOL |s|.
+    Past m_safe every later term is zero or of one sign and, with q < 1, no
+    larger than that term; rounding is monotone, so no later term changes the
+    sum, which is the fixed point of the lane's own recurrence.  No lane
+    therefore depends on the other lanes of its call or on where blocks end,
+    and a one-lane call is bit for bit any lane of a grid call.
 
-    That series is summed in blocks of terms.  No term before m_safe can
-    pass the tail test, so a block that starts short of m_safe ends
-    ``_GRID_BLOCK_FIRST`` terms past it; other blocks run ``_GRID_BLOCK_FIRST``
-    terms, doubling per block.  No block exceeds ``_GRID_BLOCK_MAX`` terms, so
-    a family with m_safe - m0 > 56 takes a capped block before the one that
-    reaches m_safe.  A block is one cumulative product of ratio*z along each
-    lane, seeded with the lane's running term, and one cumulative sum seeded
-    with its running sum: the same multiplications and the same left-to-right
-    additions as the recurrence, so every partial sum is bit for bit the
-    recurrence's.  The tail test runs on the block's tested terms only (past
-    m_safe, where q < 1), and the result is returned at the first of them
-    where it holds on every lane still being summed.
-
-    Retirement: at the end of a block whose last term is tested, a lane whose
-    tail test holds there and whose last term left its sum unchanged
-    (s + t == s) is written out and no longer summed.  Its sum is then final
-    provided the terms are nonnegative, which holds for a >= 1, b >= 1 and so
-    for every triple the coefficient table passes: once q < 1 no later term
-    exceeds the last one, and rounding is monotone, so no later term can
-    change the sum, and the recurrence would have returned the same value.
-    Without that precondition each lane still stops only when its own tail
-    bound clears REL_TOL.
+    The series is summed in blocks of terms.  A block that starts short of
+    m_safe ends ``_GRID_BLOCK_FIRST`` terms past it; other blocks run
+    ``_GRID_BLOCK_FIRST`` terms, doubling per block.  No block exceeds
+    ``_GRID_BLOCK_MAX`` terms, so a family with m_safe - m0 > 56 takes a
+    capped block before the one that reaches m_safe.  A block is one
+    cumulative product of ratio*z along each lane, seeded with the lane's
+    running term, and one cumulative sum seeded with its running sum: the same
+    multiplications and the same left-to-right additions as the recurrence,
+    so every partial sum is bit for bit the recurrence's.  At the end of each
+    block whose last term is past m_safe, every lane whose last term passes
+    the three tests is written out and no longer summed; the call returns
+    when no lane is left.
 
     Raises DomainError outside z in [0,1) and AccuracyError, carrying the
     partial sums of every lane (retired ones included) after ``MAX_TERMS``
@@ -135,7 +129,6 @@ def gauss_2f1_regularized_grid(a: int, b: int, c: int, z: np.ndarray) -> np.ndar
 
     m = m0
     m_safe = 2 * (abs(a) + abs(b) + abs(c)) + 8
-    zmax = float(z.max()) if z.size else 0.0
     done = s.reshape(-1)  # a view: retired lanes are written through it
     lane = np.arange(done.size)
     zl, tl, sl = z.reshape(-1), t.reshape(-1), done.copy()
@@ -153,27 +146,21 @@ def gauss_2f1_regularized_grid(a: int, b: int, c: int, z: np.ndarray) -> np.ndar
         sums = terms.copy()
         sums[:, 0] += sl
         np.cumsum(sums, axis=1, out=sums)
-        # column i holds term m + 1 + i; the tail test applies past m_safe where q < 1
-        q = np.maximum(np.abs(ratio) * zmax, zmax)
-        cols = np.flatnonzero((ms >= m_safe) & (q < 1.0))
         m += k
-        if cols.size:
-            qc = q[cols]
-            ok = (np.abs(terms[:, cols]) * qc / (1.0 - qc)
-                  <= REL_TOL * np.abs(sums[:, cols]) + 1e-300)
-            hit = np.flatnonzero(ok.all(axis=0))
-            if hit.size:
-                done[lane] = sums[:, cols[hit[0]]]
-                return s
-            # ok[:, -1] is the last tested column, the block's last term only if tested
-            prev = sums[:, -2] if k > 1 else sl
-            fin = ok[:, -1] & (sums[:, -1] == prev) & (cols[-1] == k - 1)
-            if fin.any():
-                done[lane[fin]] = sums[fin, -1]
-                keep = ~fin
-                lane, zl, terms, sums = lane[keep], zl[keep], terms[keep], sums[keep]
+        prev = sums[:, -2] if k > 1 else sl
         tl, sl = terms[:, -1], sums[:, -1]
+        if m > m_safe:
+            q = np.maximum(abs(ratio[-1]) * zl, zl)
+            with np.errstate(divide="ignore", invalid="ignore"):  # q = 1 fails q < 1 anyway
+                fin = ((q < 1.0) & (sl == prev)
+                       & (np.abs(tl) * q / (1.0 - q) <= REL_TOL * np.abs(sl) + 1e-300))
+            done[lane[fin]] = sl[fin]
+            keep = ~fin
+            lane, zl, tl, sl = lane[keep], zl[keep], tl[keep], sl[keep]
+            if not lane.size:
+                return s
     done[lane] = sl
+    zmax = float(z.max())
     raise AccuracyError(
         f"2F1reg grid ({a},{b};{c}) did not converge in {MAX_TERMS} terms",
         partial_value=s, tail_estimate=float(np.max(np.abs(tl))) * zmax / max(1 - zmax, 1e-300))

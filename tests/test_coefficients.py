@@ -274,6 +274,23 @@ class TestMpmathReference:
             assert got.imag == 0.0
             assert abs(got.real - ref.real) <= 3e-13 * abs(ref.real), r
 
+    @pytest.mark.parametrize("n, errors", [
+        (14, (8.4e-9, 6.5e-10, 2.2e-11, 1.3e-11, 2.0e-12)),
+        (20, (2.7e-5, 5.6e-8, 1.0e-8, 1.1e-9, 1.3e-10))])
+    def test_complex_r_near_one(self, n, errors):
+        # the double sum at |r| 0.93..0.76 against a 50-digit one, relative to
+        # |Omega_n - lim|, where its cancellation shows; ``errors`` are the
+        # measured errors, and both the lone lane and the lane of a grid must
+        # stay within ten times them
+        r = np.asarray(DopplerLorentzian(1.0, 1.0).eval(0.05 * (np.arange(1024) + 0.5)),
+                       dtype=complex)
+        grid = omega_n_over_grid(n, r)
+        for k, err in zip(range(1, 6), errors):
+            ref = _mp_omega(n, complex(r[k]), dps=50)
+            scale = abs(ref - omega_limit(n))
+            assert abs(omega_n_general(n, r[k]) - ref) <= 10 * err * scale, (k, abs(r[k]))
+            assert abs(grid[k] - ref) <= 10 * err * scale, (k, abs(r[k]))
+
 
 class TestGridEvaluation:
     def test_matches_scalar_lorentzian(self):
@@ -282,9 +299,7 @@ class TestGridEvaluation:
         for n in (0, 2, 8):
             grid = omega_n_over_grid(n, r)
             point = np.array([omega_n_general(n, complex(x)) for x in r])
-            # stopping rules differ slightly (global vs per-point), and the
-            # double sum amplifies that through cancellation
-            np.testing.assert_allclose(grid, point, rtol=1e-8, atol=1e-12)
+            assert np.array_equal(grid, point), n
 
     def test_matches_scalar_flatband_signs(self):
         tau = np.linspace(0.3, 40.0, 57)
@@ -292,7 +307,16 @@ class TestGridEvaluation:
         for n in (0, 4):
             grid = omega_n_over_grid(n, r)
             point = np.array([omega_n_general(n, complex(x)) for x in r])
-            np.testing.assert_allclose(grid, point, rtol=1e-10, atol=1e-12)
+            assert np.array_equal(grid, point), n
+
+    def test_doppler_lanes_are_independent_of_the_grid(self):
+        # the README spectrum grid: its 184 complex lanes with |r| >= 1e-4 take the double sum
+        r = np.asarray(DopplerLorentzian(1.0, 2.0).eval(0.05 * (np.arange(1024) + 0.5)),
+                       dtype=complex)
+        for n in (0, 8, 20):
+            grid = omega_n_over_grid(n, r)
+            point = np.array([omega_n_general(n, x) for x in r])
+            assert np.array_equal(grid, point), n
 
     def test_general_is_the_one_lane_grid(self):
         # one path: the scalar functions are bit for bit a one-element grid call
@@ -315,8 +339,7 @@ class TestBuildTable:
         for k, tau in enumerate([0.5, 1.0]):
             r = math.exp(-tau)
             for i, n in enumerate(table.orders):
-                assert table.values[i, k] == pytest.approx(
-                    omega_n_general(n, r), rel=1e-12)
+                assert table.values[i, k] == omega_n_general(n, r)
                 assert table.centered[i, k] == pytest.approx(
                     table.values[i, k] - omega_limit(n), rel=1e-12)
 

@@ -31,8 +31,10 @@ def f21reg_rational(a, b, c, z: Fraction) -> Fraction:
 
 
 def f21reg_grid_termwise(a, b, c, z, max_terms=10 ** 6):
-    """Reference for the grid 2F1: the term-by-term loop, one term per step
-    on every lane, stopping when the tail test holds on all lanes at once."""
+    """Reference for the grid 2F1: the term-by-term loop on every lane.  A lane
+    is done at its first term past m_safe where its own q < 1, the term left
+    its sum unchanged and the tail test holds; its sum is kept from then on.
+    Returns when every lane is done."""
     z = np.asarray(z, dtype=float)
     m0 = 1 - c if c <= 0 else 0
     if b <= 0 and -b < m0:
@@ -52,16 +54,20 @@ def f21reg_grid_termwise(a, b, c, z, max_terms=10 ** 6):
         return s
     m = m0
     m_safe = 2 * (abs(a) + abs(b) + abs(c)) + 8
-    zmax = float(z.max())
+    done = np.zeros(z.shape, dtype=bool)
     while m - m0 < max_terms:
         ratio = (a + m) * (b + m) / ((m + 1.0) * (c + m))
         t = t * (ratio * z)
         m += 1
-        s += t
+        step = s + t
         if m > m_safe:
-            q = max(abs(ratio) * zmax, zmax)
-            if q < 1.0 and np.all(np.abs(t) * q / (1.0 - q) <= 1e-12 * np.abs(s) + 1e-300):
-                return s
+            q = np.maximum(abs(ratio) * z, z)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                done |= ((q < 1.0) & (step == s)
+                         & (np.abs(t) * q / (1.0 - q) <= 1e-12 * np.abs(step) + 1e-300))
+        s = np.where(done, s, step)
+        if done.all():
+            return s
     raise AccuracyError("no convergence", partial_value=s, tail_estimate=None)
 
 
@@ -188,11 +194,26 @@ class TestGauss2F1Regularized:
             gauss_2f1_regularized_grid(*abc, z)
             assert len(blocks) == 1, abc
 
+    def test_converged_lanes_leave_the_block(self, monkeypatch):
+        # each lane stops on its own q: for (8, 16, 9) the second block ends 8
+        # terms past m_safe = 74, where the small lanes have converged while
+        # |ratio| 0.998 > 1, so the later blocks sum the 0.998 lane alone
+        rows = []
+        cumprod = np.cumprod
+
+        def counting(terms, *args, **kwargs):
+            rows.append(terms.shape[0])
+            return cumprod(terms, *args, **kwargs)
+        monkeypatch.setattr(np, "cumprod", counting)
+        gauss_2f1_regularized_grid(8, 16, 9, np.array([0.0, 1e-9, 0.01, 0.998]))
+        assert rows[:2] == [4, 4] and set(rows[2:]) == {1}
+
     @pytest.mark.parametrize("abc", [(1, 1, 2), (3, 4, 2)])
     def test_grid_accuracy_error_carries_partial(self, abc, monkeypatch):
-        # 40 terms is no whole number of blocks.  For (1, 1, 2) the zero and
-        # tiny lanes retire after 24 terms and the 0.3 lane after 40; for
-        # (3, 4, 2) q stays above 1 and no lane retires.  0.999 never converges.
+        # 40 terms is no whole number of blocks.  Each lane retires on its
+        # own q: the zero and tiny lanes after 24 terms for (1, 1, 2) and 34
+        # for (3, 4, 2), the 0.3 lane after 40 for both; 0.5 and 0.999 do
+        # not converge within 40 terms.
         monkeypatch.setattr(specfun, "MAX_TERMS", 40)
         z = np.array([[0.0, 1e-9, 0.3], [0.999, 0.5, 1e-12]])
         with pytest.raises(AccuracyError) as ref:
@@ -208,7 +229,7 @@ class TestGauss2F1Regularized:
         for a, b, c in [(1, 1, 2), (2, 3, -1), (4, -2, 3), (1, 1, 0), (5, 2, -4)]:
             grid = gauss_2f1_regularized_grid(a, b, c, z)
             point = np.array([gauss_2f1_regularized(a, b, c, float(zz)) for zz in z])
-            np.testing.assert_allclose(grid, point, rtol=1e-12, atol=1e-300)
+            assert np.array_equal(grid, point), (a, b, c)
 
 
 class TestHyp3F2:

@@ -9,14 +9,23 @@ FIR is applied one noise chunk at a time by FFT overlap-add into one output
 buffer.
 
 Generation is chunked, with one counter-based RNG stream per chunk keyed on
-(seed, chunk index); the sample stream is bitwise reproducible and does not
-depend on how chunks are scheduled.
+(seed, chunk index).  Pool threads (``spectrum.in_order``, one per CPU the
+process may use, at most ``POOL_MAX_WORKERS``) draw the chunks' noise and
+transform the Welch blocks; the calling thread runs the AR(1) recursion, the
+flat band's FFT pair and every sum, in chunk order.  So the samples and
+spectra are bitwise the same on one core as on several.  The FFTs stay on the
+calling thread because the FFT library allocates its scratch in the thread
+that runs it, and a worker's heap would keep it.  The ACF gate and
+``invert`` stay there too: each takes about 0.1 s at 2^23 samples, and
+``invert``'s ``np.errstate`` would not reach a worker thread.
 
 Memory: every full-length stage works in place or in cache-sized blocks, so
 a run holds one sample-length array and no stage makes a full-length copy:
-``invert`` overwrites the samples with their reciprocal, the ACF gate
-centers one block at a time and Welch forms its segments as a strided view,
-copying one block of them at a time.
+the AR(1) noise is drawn into the output and filtered there, the flat-band
+noise into a ring of ``workers + 1`` zero-padded chunk buffers that are
+transformed in place, ``invert`` overwrites the samples with their
+reciprocal, the ACF gate centers one block at a time and Welch forms its
+segments as a strided view, copying one block of them at a time.
 """
 
 from __future__ import annotations
@@ -33,8 +42,9 @@ from .errors import (ConfigError, DomainError, StatisticalQualityError,
                      even_at_least, finite_nonnegative, finite_positive, integer_at_least)
 from .kernels import CorrelationKernel, FlatBand, Lorentzian
 from .manifest import atomic_write_text, atomic_write_via, dump_json
-from .spectrum import (SpectrumResult, theoretical_spectrum, TauGrid, hann_window,
-                       welch_covariance_spectrum, welch_expected_spectrum, welch_layout)
+from .spectrum import (SpectrumResult, theoretical_spectrum, TauGrid, hann_window, in_order,
+                       pool_workers, welch_covariance_spectrum, welch_expected_spectrum,
+                       welch_layout)
 
 _CHUNK = 1 << 18
 #: values of k whose lag products the ACF gate adds per block: one centered
@@ -87,8 +97,9 @@ def _chunk_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, stream]))
 
 
-def _circular_normal(rng, n: int) -> np.ndarray:
-    z = rng.standard_normal(2 * n).view(complex)  # consecutive (re, im) pairs
+def _circular_normal(rng, z: np.ndarray) -> np.ndarray:
+    """Fill the complex array ``z`` with circular unit-variance normals; return it."""
+    rng.standard_normal(out=z.view(float))  # consecutive (re, im) pairs
     z /= math.sqrt(2.0)
     return z
 
@@ -100,17 +111,20 @@ def _generate_ar1(config: SimulationConfig) -> np.ndarray:
     phi = math.exp(-a * config.dt)
     drive = math.sqrt(1.0 - phi * phi)
     out = np.empty(config.n_samples, dtype=complex)
-    state = complex(_circular_normal(_chunk_rng(config.seed, 0), 1)[0])  # stationary start
-    pos = 0
-    stream = 1
-    while pos < config.n_samples:
-        n = min(_CHUNK, config.n_samples - pos)
-        xi = _circular_normal(_chunk_rng(config.seed, stream), n)
+    start = _circular_normal(_chunk_rng(config.seed, 0), np.empty(1, dtype=complex))
+    state = complex(start[0])  # stationary start
+
+    def noise(i, _):  # on a worker: chunk i's noise, in place
+        xi = out[i * _CHUNK:(i + 1) * _CHUNK]
+        return _circular_normal(_chunk_rng(config.seed, i + 1), xi)
+
+    def recurse(i, xi):  # on the calling thread, in chunk order
+        nonlocal state
         chunk, _ = lfilter([drive], [1.0, -phi], xi, zi=np.array([phi * state]))
-        out[pos:pos + n] = chunk
+        xi[:] = chunk
         state = complex(chunk[-1])
-        pos += n
-        stream += 1
+
+    in_order(-(-config.n_samples // _CHUNK), noise, recurse)
     return out
 
 
@@ -136,15 +150,22 @@ def _generate_flat(config: SimulationConfig) -> np.ndarray:
     nfft = next_fast_len(_CHUNK + taps - 1)
     h_hat = fft(design_flat_fir(taps, config.dt), nfft)
     out = np.zeros(total, dtype=complex)
-    pos = 0
-    stream = 1
-    while pos < total:
-        n = min(_CHUNK, total - pos)
-        xi = _circular_normal(_chunk_rng(config.seed, stream), n)
-        end = min(pos + n + taps - 1, total)
-        out[pos:end] += ifft(fft(xi, nfft) * h_hat)[:end - pos]
-        pos += n
-        stream += 1
+
+    def noise(i, buf):  # on a worker: chunk i's noise, zero-padded to nfft
+        n = min(_CHUNK, total - i * _CHUNK)
+        buf[n:] = 0.0
+        _circular_normal(_chunk_rng(config.seed, i + 1), buf[:n])
+        return buf
+
+    def filter_add(i, buf):  # on the calling thread, in chunk order
+        spectrum = fft(buf, overwrite_x=True)  # in place, as is ifft
+        spectrum *= h_hat
+        y = ifft(spectrum, overwrite_x=True)
+        pos = i * _CHUNK
+        end = min(pos + _CHUNK + taps - 1, total)
+        out[pos:end] += y[:end - pos]
+
+    in_order(-(-total // _CHUNK), noise, filter_add, lambda: np.empty(nfft, dtype=complex))
     w = out[taps:]
     w /= math.sqrt(float(np.vdot(w, w).real) / len(w))
     return w
@@ -257,6 +278,8 @@ class ExperimentResult:
     #: wall seconds of each stage: generate, gate, invert, welch,
     #: welch_expected and theory
     stage_s: dict
+    #: threads of the pool that generate and welch ran on (``pool_workers``)
+    workers: int
 
 
 @contextmanager
@@ -342,4 +365,4 @@ def run_experiment(config: SimulationConfig, order: Optional[int] = None,
     return ExperimentResult(empirical=empirical, theoretical=theoretical,
                             expected=expected, metrics=metrics,
                             fidelity=fidelity, n_zero_denominators=n_zero,
-                            stage_s=stage_s)
+                            stage_s=stage_s, workers=pool_workers())

@@ -19,6 +19,8 @@ a realization-dependent variance with no finite expectation.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +41,8 @@ WELCH_OVERLAP = 0.5
 #: stay within a 2 MB cache; 2^15..2^18 ran alike, 2^21 1.6-1.9x slower
 #: (2^23 samples, one BLAS thread; table in CHANGES.md)
 _WELCH_BLOCK_SAMPLES = 1 << 17
+#: most threads a worker pool runs, however many CPUs the process may use
+POOL_MAX_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -226,6 +230,46 @@ def welch_layout(n_samples: int, segment_len: int):
     return step, n_seg
 
 
+def pool_workers() -> int:
+    """Threads of a worker pool: the CPUs this process may run on, at most
+    ``POOL_MAX_WORKERS``."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(cpus, POOL_MAX_WORKERS)
+
+
+def in_order(n_items: int, work, consume, make_buffer=None) -> None:
+    """Run ``work(i, buffer)`` for i = 0..n_items-1 on a worker pool and
+    ``consume(i, result)`` on the calling thread, in order of i.
+
+    The pool has ``pool_workers()`` threads and at most that many items in
+    flight: item i + workers is handed out when item i's result is taken,
+    before it is consumed.  The calling thread makes ``workers + 1`` buffers
+    with ``make_buffer`` (None when not given), so they live in its own heap,
+    and item i gets buffer i mod (workers + 1); that buffer's previous item,
+    i - workers - 1, has been consumed by then.  A worker's exception is
+    raised here unchanged, and no pool thread outlives the call.  Workers
+    share what ``work`` reaches, so each item writes only its own memory; and
+    ``work`` calls no function that ``bench/spans.py`` traces, since a span
+    stack belongs to one thread.
+    """
+    # imported here: only simulate needs it, and with `logging` it costs about 5 ms
+    from concurrent.futures import ThreadPoolExecutor
+
+    workers = pool_workers()
+    ring = [None if make_buffer is None else make_buffer() for _ in range(workers + 1)]
+    with ThreadPoolExecutor(workers) as pool:
+        def submit(i):
+            return pool.submit(work, i, ring[i % len(ring)])
+
+        pending = deque(submit(i) for i in range(min(workers, n_items)))
+        for i in range(n_items):
+            result = pending.popleft().result()
+            if i + workers < n_items:
+                pending.append(submit(i + workers))
+            consume(i, result)
+
+
 def welch_covariance_spectrum(samples: np.ndarray, dt: float,
                               segment_len: int = 4096) -> SpectrumResult:
     """Welch estimate of the covariance power spectrum of a complex sequence.
@@ -236,8 +280,10 @@ def welch_covariance_spectrum(samples: np.ndarray, dt: float,
     unit frequency.  The segments are a strided view of ``samples``; they are
     copied only as each block of at most ``_WELCH_BLOCK_SAMPLES`` samples (one
     segment, when a segment is longer) has the mean subtracted, so no
-    full-length copy is made and a block's temporaries do not grow with the
-    record or with ``segment_len``.
+    full-length copy is made and a block's buffers do not grow with the
+    record or with ``segment_len``.  Blocks are transformed on a worker pool
+    (``in_order``) in buffers the calling thread owns, and their powers are
+    added in block order, so the result does not depend on the worker count.
 
     ``metadata["white_floor"]`` is the realized white floor
     sum |windowed segment|^2 / (n_seg sum w^2): the frequency-independent
@@ -250,14 +296,22 @@ def welch_covariance_spectrum(samples: np.ndarray, dt: float,
     step, n_seg = welch_layout(len(x), segment_len)
     mean = complex(x.mean())
     segments = sliding_window_view(x, segment_len)[::step]  # a view: nothing is copied
-    block = max(1, _WELCH_BLOCK_SAMPLES // segment_len)  # segments per block
+    block = min(n_seg, max(1, _WELCH_BLOCK_SAMPLES // segment_len))  # segments per block
     squares = np.zeros(2 * segment_len)  # each bin's re^2 and im^2, summed over segments
-    for lo in range(0, n_seg, block):
-        sub = segments[lo:lo + block] - mean
+
+    def block_squares(i, buffers):
+        sub, part = buffers
+        rows = segments[i * block:(i + 1) * block]
+        sub = np.subtract(rows, mean, out=sub[:len(rows)])
         sub *= win
-        spectra = np.fft.fft(sub, axis=1).view(float)  # (re, im) pairs
+        spectra = np.fft.fft(sub, axis=1, out=sub).view(float)  # (re, im) pairs
         spectra *= spectra
-        squares += spectra.sum(axis=0)
+        return np.sum(spectra, axis=0, out=part)
+
+    in_order(-(-n_seg // block), block_squares,
+             lambda i, part: np.add(squares, part, out=squares),
+             lambda: (np.empty((block, segment_len), dtype=complex),
+                      np.empty(2 * segment_len)))
     power = squares[0::2] + squares[1::2]
     win_power = float(np.sum(win ** 2))
     psd = np.fft.fftshift(power / n_seg) * dt / win_power

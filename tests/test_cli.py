@@ -13,6 +13,7 @@ import pytest
 from recipspec import cli
 from recipspec.cli import main
 from recipspec.simulator import SimulationConfig
+from recipspec.spectrum import pool_workers
 
 
 def run(tmp, *args):
@@ -171,13 +172,18 @@ class TestSimulate:
         assert sorted(report["stage_s"]) == sorted(
             ["generate", "gate", "invert", "welch", "welch_expected", "theory"])
         assert all(t >= 0.0 for t in report["stage_s"].values())
+        assert report["workers"] == pool_workers()
 
-    def test_byte_determinism_across_threads(self, tmp_path):
-        d1, d2 = tmp_path / "r1", tmp_path / "r2"
-        assert run(d1, *self.ARGS, "--dump-samples", "w.bin") == 0
-        assert run(d2, *self.ARGS, "--dump-samples", "w.bin") == 0
+    def test_byte_determinism_across_threads(self, tmp_path, set_workers):
+        # one pool thread, then three, over three chunks and a partial one
+        args = [*self.ARGS, "--samples", str(3 * (1 << 18) + 1000), "--dump-samples", "w.bin"]
+        for n in (1, 3):
+            set_workers(n)
+            assert run(tmp_path / f"w{n}", *args) == 0
+            report = json.loads((tmp_path / f"w{n}" / "report.json").read_text())
+            assert report["workers"] == n
         for name in ("w.bin", "empirical.csv", "expected.csv", "theoretical.csv"):
-            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+            assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w3" / name).read_bytes()
 
     def test_seed_outside_the_philox_key_exits_2(self, tmp_path, capsys):
         rc = run(tmp_path, "simulate", "--kernel", "lorentzian", "--samples", str(1 << 16),
@@ -206,7 +212,8 @@ class TestSimulate:
     @pytest.mark.parametrize("flags", [
         ["--robust"], ["--window", "hann"], ["--overlap", "0.5"], ["--threads", "1"]])
     def test_removed_welch_and_thread_flags_exit_2(self, tmp_path, flags):
-        # simulate runs one Welch estimator (Hann, half overlap, mean) on one thread
+        # simulate runs one Welch estimator (Hann, half overlap, mean); its
+        # worker pool follows the CPUs the process may run on
         with pytest.raises(SystemExit) as exc:
             run(tmp_path, *self.ARGS, *flags)
         assert exc.value.code == 2

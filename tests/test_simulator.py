@@ -1,19 +1,20 @@
 """Generator fidelity, inversion statistics, experiment plumbing."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from recipspec import simulator
+from recipspec import simulator, spectrum
 from recipspec.errors import ConfigError, DomainError, StatisticalQualityError
 from recipspec.kernels import FlatBand, GaussianKernel, Lorentzian
 from recipspec.simulator import (_CHUNK, SimulationConfig, design_flat_fir,
                                  empirical_acf, generate_gaussian,
                                  generator_fidelity_check, invert,
                                  run_experiment)
-from recipspec.spectrum import TauGrid
+from recipspec.spectrum import TauGrid, hann_window, welch_covariance_spectrum
 
 
 def cfg_lorentzian(**kw):
@@ -120,6 +121,106 @@ class TestFlatGenerator:
         got = generate_gaussian(config)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13
+
+
+class TestWorkerPool:
+    """Generation and Welch give the same bits on any number of pool threads."""
+
+    POOL_CASES = pytest.mark.parametrize("kernel, dt", [
+        (Lorentzian(1.0), 0.1), (FlatBand(), 0.5)], ids=["lorentzian", "flatband"])
+
+    @staticmethod
+    def config(kernel, dt):
+        # a partial last chunk; the flat band's 1025 taps span a chunk boundary
+        return SimulationConfig(kernel=kernel, omega=1.0, dt=dt, seed=21,
+                                n_samples=3 * _CHUNK + 1000, fir_taps=1025)
+
+    @staticmethod
+    def serial_samples(config):
+        """The generators as one loop on one thread: a chunk's noise, then its
+        recursion or FFT pair, chunk after chunk."""
+        from scipy.fft import fft, ifft, next_fast_len
+        from scipy.signal import lfilter
+
+        def noise(stream, n):
+            rng = np.random.Generator(np.random.Philox(key=[config.seed, stream]))
+            z = rng.standard_normal(2 * n).view(complex)
+            z /= math.sqrt(2.0)
+            return z
+
+        if isinstance(config.kernel, Lorentzian):
+            phi = math.exp(-config.kernel.a * config.dt)
+            state, out = complex(noise(0, 1)[0]), []
+            for stream, pos in enumerate(range(0, config.n_samples, _CHUNK), start=1):
+                xi = noise(stream, min(_CHUNK, config.n_samples - pos))
+                chunk, _ = lfilter([math.sqrt(1.0 - phi * phi)], [1.0, -phi], xi,
+                                   zi=np.array([phi * state]))
+                out.append(chunk)
+                state = complex(chunk[-1])
+            return np.concatenate(out)
+        taps = config.fir_taps
+        total = config.n_samples + taps
+        nfft = next_fast_len(_CHUNK + taps - 1)
+        h_hat = fft(design_flat_fir(taps, config.dt), nfft)
+        out = np.zeros(total, dtype=complex)
+        for stream, pos in enumerate(range(0, total, _CHUNK), start=1):
+            xi = noise(stream, min(_CHUNK, total - pos))
+            end = min(pos + len(xi) + taps - 1, total)
+            out[pos:end] += ifft(fft(xi, nfft) * h_hat)[:end - pos]
+        w = out[taps:]
+        w /= math.sqrt(float(np.vdot(w, w).real) / len(w))
+        return w
+
+    @staticmethod
+    def serial_squares(x, segment_len=4096):
+        """Welch's summed (re^2, im^2) pairs as one block loop on one thread."""
+        win = hann_window(segment_len)
+        mean = complex(x.mean())
+        segments = np.lib.stride_tricks.sliding_window_view(x, segment_len)[::segment_len // 2]
+        block = max(1, spectrum._WELCH_BLOCK_SAMPLES // segment_len)
+        squares = np.zeros(2 * segment_len)
+        for lo in range(0, len(segments), block):
+            spectra = np.fft.fft((segments[lo:lo + block] - mean) * win, axis=1).view(float)
+            squares += (spectra * spectra).sum(axis=0)
+        return squares, len(segments), float(np.sum(win ** 2))
+
+    @POOL_CASES
+    def test_same_bits_on_any_worker_count(self, set_workers, kernel, dt):
+        config = self.config(kernel, dt)
+        ref = self.serial_samples(config)
+        squares, n_seg, win_power = self.serial_squares(1.0 / (1.0 + ref))
+        power = squares[0::2] + squares[1::2]
+        ref_psd = np.fft.fftshift(power / n_seg) * dt / win_power
+        ref_floor = float(power.sum()) / (4096 * n_seg * win_power)
+        for n in (1, 2, 3):
+            set_workers(n)
+            w = generate_gaussian(config)
+            assert np.array_equal(w, ref)
+            spec = welch_covariance_spectrum(1.0 / (1.0 + w), dt)
+            assert np.array_equal(spec.psd, ref_psd)
+            assert spec.metadata["white_floor"] == ref_floor
+
+    @POOL_CASES
+    def test_worker_error_propagates_and_no_thread_outlives_the_stage(
+            self, monkeypatch, set_workers, kernel, dt):
+        set_workers(3)
+        config = self.config(kernel, dt)
+        before = threading.active_count()
+        generate_gaussian(config)
+        assert threading.active_count() == before
+        error = RuntimeError("no noise for chunk 2")
+        chunk_rng = simulator._chunk_rng
+
+        def failing(seed, stream):
+            if stream == 3:  # chunk 2: stream 0 is the AR(1) start
+                raise error
+            return chunk_rng(seed, stream)
+
+        monkeypatch.setattr(simulator, "_chunk_rng", failing)
+        with pytest.raises(RuntimeError) as exc:
+            generate_gaussian(config)
+        assert exc.value is error
+        assert threading.active_count() == before
 
 
 class TestInvert:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from recipspec import specfun
 from recipspec.errors import AccuracyError, DomainError
@@ -89,6 +89,9 @@ TABLE_FAMILIES = families(range(0, 21, 2))
 #: the families of orders 22-30 whose first block, capped at 64 terms, ends
 #: short of m_safe, so that a second block has to reach it
 DEEP_FAMILIES = [f for f in families(range(22, 31, 2)) if first_block_terms(*f) >= 72]
+#: hypothesis phases without shrinking, for the tests that draw up to
+#: 3000-lane grids: shrinking a failing one took minutes
+NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
 
 
 @st.composite
@@ -156,13 +159,13 @@ class TestGauss2F1Regularized:
         assert exc.value.tail_estimate > 0
 
     @given(st.sampled_from(TABLE_FAMILIES), z_grids())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     def test_grid_bit_exact_against_termwise_loop(self, abc, z):
         assert np.array_equal(gauss_2f1_regularized_grid(*abc, z),
                               f21reg_grid_termwise(*abc, z))
 
     @given(st.sampled_from(DEEP_FAMILIES), z_grids(300))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10, deadline=None, phases=NO_SHRINK)
     def test_grid_bit_exact_past_the_first_block_cap(self, abc, z):
         assert np.array_equal(gauss_2f1_regularized_grid(*abc, z),
                               f21reg_grid_termwise(*abc, z))

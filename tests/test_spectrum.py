@@ -1,6 +1,8 @@
 """Spectrum layer: transform correctness, Welch scaling, slope fitting."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from recipspec.errors import ConsistencyError, DomainError, StatisticalQualityEr
 from recipspec.kernels import DopplerLorentzian, FlatBand, Lorentzian
 from recipspec.series import asymptotic_floor, partial_sum
 from recipspec.spectrum import (SpectrumResult, TauGrid, _hermitian_transform,
-                                hann_window, tail_slope,
+                                hann_window, in_order, tail_slope,
                                 theoretical_spectrum, welch_covariance_spectrum,
                                 welch_expected_spectrum, window_lag_taper)
 
@@ -260,6 +262,43 @@ class TestWelch:
             welch_covariance_spectrum(x, dt=1.0, segment_len=2048)
         with pytest.raises(DomainError):
             welch_covariance_spectrum(x, dt=1.0, segment_len=1 << 13)
+
+
+class TestInOrder:
+    def test_buffers_are_reused_only_after_their_item_is_consumed(self, set_workers):
+        # three workers, more than this machine may have cores, and a short
+        # switch interval so that threads interleave often
+        set_workers(3)
+        consumed = []
+
+        def work(i, buf):
+            buf[:] = i
+            return buf
+
+        def consume(i, buf):
+            first = int(buf[0])
+            sum(range(200))  # some bytecode for the workers to interleave with
+            consumed.append((i, first, int(buf[-1])))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            in_order(400, work, consume, lambda: np.empty(64))
+        finally:
+            sys.setswitchinterval(interval)
+        assert consumed == [(i, i, i) for i in range(400)]
+
+    def test_caller_error_stops_the_pool(self, set_workers):
+        set_workers(3)
+        before = threading.active_count()
+
+        def consume(i, _):
+            if i == 5:
+                raise KeyError(i)
+
+        with pytest.raises(KeyError):
+            in_order(50, lambda i, _: i, consume)
+        assert threading.active_count() == before
 
 
 class TestWelchExpectation:

@@ -2,17 +2,18 @@
 
 The exponential-kernel process is generated by the exact first-order
 recursion (the kernel is exactly representable in discrete time, so the
-empirical autocorrelation has no discretization bias at integer lags).  The
-flat-band process is complex white noise through a Kaiser-windowed sinc FIR
-with the cutoff at the kernel's band edge, renormalized to unit variance; the
-FIR is applied one noise chunk at a time by FFT overlap-add into one output
-buffer.
+empirical autocorrelation has no discretization bias at integer lags), run
+as a blocked numpy scan.  The flat-band process is complex white noise
+through a Kaiser-windowed sinc FIR with the cutoff at the kernel's band
+edge, renormalized to unit variance; the FIR is applied one noise chunk at a
+time by FFT overlap-add into one output buffer.
 
 Generation is chunked, with one counter-based RNG stream per chunk keyed on
 (seed, chunk index).  Pool threads (``spectrum.in_order``, one per CPU the
-process may use, at most ``POOL_MAX_WORKERS``) draw the chunks' noise and
-transform the Welch blocks; the calling thread runs the AR(1) recursion, the
-flat band's FFT pair and every sum, in chunk order.  So the samples and
+process may use, at most ``POOL_MAX_WORKERS``) draw the chunks' noise, run
+each AR(1) chunk's recursion from a zero state and transform the Welch
+blocks; the calling thread adds each AR(1) chunk's decaying start state, runs
+the flat band's FFT pair and every sum, in chunk order.  So the samples and
 spectra are bitwise the same on one core as on several.  The FFTs stay on the
 calling thread because the FFT library allocates its scratch in the thread
 that runs it, and a worker's heap would keep it.  The ACF gate and
@@ -21,7 +22,7 @@ that runs it, and a worker's heap would keep it.  The ACF gate and
 
 Memory: every full-length stage works in place or in cache-sized blocks, so
 a run holds one sample-length array and no stage makes a full-length copy:
-the AR(1) noise is drawn into the output and filtered there, the flat-band
+the AR(1) noise is drawn into the output and scanned there, the flat-band
 noise into a ring of ``workers + 1`` zero-padded chunk buffers that are
 transformed in place, ``invert`` overwrites the samples with their
 reciprocal, the ACF gate centers one block at a time and Welch forms its
@@ -47,6 +48,8 @@ from .spectrum import (SpectrumResult, theoretical_spectrum, TauGrid, hann_windo
                        welch_layout)
 
 _CHUNK = 1 << 18
+#: samples per row of the AR(1) scan; _CHUNK is a multiple of it
+_SCAN_ROW = 64
 #: values of k whose lag products the ACF gate adds per block: one centered
 #: block (1 MB) stays in cache across all lags; 2^15 and 2^16 ran fastest,
 #: 2^18 and above 1.5x slower (2^23 samples, one BLAS thread; table in CHANGES.md)
@@ -80,6 +83,8 @@ class SimulationConfig:
         finite_nonnegative(self.omega, "omega", ConfigError)
         finite_positive(self.dt, "dt", ConfigError)
         integer_at_least(self.n_samples, "n_samples", 2 ** 16, ConfigError)
+        # the rule also keeps the AR(1) scan's largest row factor,
+        # phi^-(_SCAN_ROW - 1) = exp(63 a dt), below e^31.5
         if isinstance(self.kernel, Lorentzian) and self.kernel.a * self.dt >= 0.5:
             raise ConfigError(
                 f"a*dt = {self.kernel.a * self.dt} too coarse to resolve the "
@@ -104,28 +109,74 @@ def _circular_normal(rng, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _generate_ar1(config: SimulationConfig) -> np.ndarray:
-    from scipy.signal import lfilter  # imported here: it costs most of `import recipspec`
+def _ar1_scan(u: np.ndarray, phi: float) -> np.ndarray:
+    """Run y[n] = phi y[n-1] + u[n] from y[-1] = 0 in place on the complex
+    array ``u``, whose length is a multiple of ``_SCAN_ROW``; return it.
 
+    A first-order linear recurrence is a scan (Blelloch, "Prefix Sums and
+    Their Applications", 1990).  In each row of ``_SCAN_ROW`` samples,
+    y[k] = phi^k sum_{j<=k} phi^-j u[j]: the row is scaled by phi^-k and
+    summed in place.  Before it is scaled back by phi^k, each row gets the
+    previous row's last output times phi, which carries the rows' joint
+    state.  Those end values come from a doubling pass over the rows,
+    e[s:] += phi^(ROW s) e[:-s] for s = 1, 2, 4, ..., which stops once the
+    multiplier is below 2^-60, far below a double's rounding.  Every
+    temporary holds one value per row.
+    """
+    k = np.arange(_SCAN_ROW)
+    rows = u.reshape(-1, _SCAN_ROW)
+    pairs = rows.view(float)  # (re, im) pairs: a real factor scales both
+    pairs *= np.repeat(phi ** -k, 2)
+    np.cumsum(rows, axis=1, out=rows)
+    ends = rows[:, -1] * phi ** (_SCAN_ROW - 1)  # each row's last output from a zero start
+    step = 1
+    while step < len(ends) and phi ** (_SCAN_ROW * step) >= 2.0 ** -60:
+        ends[step:] += phi ** (_SCAN_ROW * step) * ends[:-step]
+        step *= 2
+    rows[1:] += phi * ends[:-1, None]
+    pairs *= np.repeat(phi ** k, 2)
+    return u
+
+
+def _generate_ar1(config: SimulationConfig) -> np.ndarray:
+    """The AR(1) process, drawn and scanned in place in the output.
+
+    Workers draw each chunk's noise into its slice of the output, zero-pad it
+    to whole scan rows, scale it by ``drive`` and scan it from a zero state.
+    The calling thread adds the previous chunk's last sample times
+    phi^(1..) in chunk order, which is the rest of the exact recursion.
+    """
     a = config.kernel.a
     phi = math.exp(-a * config.dt)
     drive = math.sqrt(1.0 - phi * phi)
-    out = np.empty(config.n_samples, dtype=complex)
+    n = config.n_samples
+    # padded to whole scan rows: padding at the end of a causal scan changes
+    # no earlier output
+    out = np.empty(-(-n // _SCAN_ROW) * _SCAN_ROW, dtype=complex)
     start = _circular_normal(_chunk_rng(config.seed, 0), np.empty(1, dtype=complex))
     state = complex(start[0])  # stationary start
+    # the previous chunk's last sample weighs phi^(k+1) on sample k; the
+    # powers that underflow to zero would add nothing, so they are dropped
+    decay = phi ** np.arange(1.0, _CHUNK + 1)
+    decay = decay[decay > 0.0]
+    carry = np.empty(len(decay), dtype=complex)
 
-    def noise(i, _):  # on a worker: chunk i's noise, in place
+    def noise_scan(i, _):  # on a worker: chunk i's recursion from a zero state, in place
         xi = out[i * _CHUNK:(i + 1) * _CHUNK]
-        return _circular_normal(_chunk_rng(config.seed, i + 1), xi)
+        m = min(_CHUNK, n - i * _CHUNK)
+        _circular_normal(_chunk_rng(config.seed, i + 1), xi[:m])
+        xi[m:] = 0.0
+        xi *= drive
+        return _ar1_scan(xi, phi)[:m]
 
-    def recurse(i, xi):  # on the calling thread, in chunk order
+    def add_state(i, xi):  # on the calling thread, in chunk order
         nonlocal state
-        chunk, _ = lfilter([drive], [1.0, -phi], xi, zi=np.array([phi * state]))
-        xi[:] = chunk
-        state = complex(chunk[-1])
+        head = min(len(xi), len(decay))
+        xi[:head] += np.multiply(decay[:head], state, out=carry[:head])
+        state = complex(xi[-1])
 
-    in_order(-(-config.n_samples // _CHUNK), noise, recurse)
-    return out
+    in_order(-(-n // _CHUNK), noise_scan, add_state)
+    return out[:n]
 
 
 def design_flat_fir(taps: int, dt: float) -> np.ndarray:

@@ -59,17 +59,6 @@ class TestCoeffs:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "coeffs.csv").exists()
 
-    def test_does_not_import_scipy_signal(self, tmp_path):
-        # only the simulators use scipy.signal, and importing it costs most of
-        # `import recipspec.cli`; a fresh interpreter shows what coeffs loads
-        code = ("import sys; from recipspec.cli import main; "
-                f"rc = main(['coeffs', '--max-order', '4', '--out-dir', {str(tmp_path)!r}]); "
-                "print(rc, 'scipy.signal' in sys.modules)")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, timeout=120, check=True).stdout
-        assert out.split() == ["0", "False"]
-
     def test_cli_and_validation_leave_scipy_submodules_out(self):
         # set-up cost: the package imports no scipy submodule until a run needs one
         code = ("import sys, recipspec.cli, recipspec.validation; "
@@ -302,6 +291,27 @@ class TestConfigFile:
         assert run(out, command, "--config", str(cfg)) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("args, unwanted", [
+    (["coeffs", "--max-order", "4"], "scipy.signal"),
+    (["spectrum", "--omega", "0.5", "--order", "2", "--half-points", "16"], "scipy.signal"),
+    (["bounds"], "scipy.signal"),
+    (["validate", "--profile", "quick"], "scipy.signal"),
+    # the AR(1) recursion is a numpy scan: a Lorentzian run needs no scipy
+    (["simulate", "--kernel", "lorentzian", "--samples", "65536", "--seed", "1",
+      "--segment-len", "256"], "scipy"),
+], ids=["coeffs", "spectrum", "bounds", "validate", "simulate"])
+def test_command_leaves_slow_imports_out(tmp_path, args, unwanted):
+    # importing scipy.signal costs most of a small run; a fresh interpreter
+    # shows what one command loads
+    code = ("import sys; from recipspec.cli import main; "
+            f"rc = main({args + ['--out-dir', str(tmp_path)]!r}); "
+            f"print(rc, [m for m in sys.modules if (m + '.').startswith({unwanted + '.'!r})])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True).stdout
+    assert out.splitlines()[-1] == "0 []"
 
 
 @pytest.mark.parametrize("command", ["simulate", "bounds", "validate"])

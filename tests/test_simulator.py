@@ -10,8 +10,8 @@ import pytest
 from recipspec import simulator, spectrum
 from recipspec.errors import ConfigError, DomainError, StatisticalQualityError
 from recipspec.kernels import FlatBand, GaussianKernel, Lorentzian
-from recipspec.simulator import (_CHUNK, SimulationConfig, design_flat_fir,
-                                 empirical_acf, generate_gaussian,
+from recipspec.simulator import (_CHUNK, _SCAN_ROW, SimulationConfig, _ar1_scan,
+                                 design_flat_fir, empirical_acf, generate_gaussian,
                                  generator_fidelity_check, invert,
                                  run_experiment)
 from recipspec.spectrum import TauGrid, hann_window, welch_covariance_spectrum
@@ -123,6 +123,31 @@ class TestFlatGenerator:
         assert np.max(np.abs(got - ref)) <= 1e-13
 
 
+#: the AR(1) scan against lfilter's loop: max |w - ref| <= AR1_TOL max |ref|.
+#: The two sum in different orders; both are exact recursions, so they agree
+#: to rounding, which read at most 3e-15 at a dt = 1e-3.
+AR1_TOL = 1e-14
+
+
+class TestAr1Scan:
+    # a*dt = 0.49 is the edge of SimulationConfig's a*dt < 0.5, the rule that
+    # also bounds the scan's largest row factor phi^-63 by e^31.5
+    @pytest.mark.parametrize("a_dt", [1e-3, 0.1, 0.49])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 3 * _CHUNK + 1000])
+    def test_matches_lfilter_from_a_nonzero_state(self, a_dt, n):
+        from scipy.signal import lfilter
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(2 * n).view(complex)
+        state = 0.8 - 0.6j
+        phi = math.exp(-a_dt)
+        ref, _ = lfilter([1.0], [1.0, -phi], x, zi=np.array([phi * state]))
+        u = np.zeros(-(-n // _SCAN_ROW) * _SCAN_ROW, dtype=complex)
+        u[:n] = x
+        # a zero-state scan plus the start state's decay, as generation adds them
+        y = _ar1_scan(u, phi)[:n] + state * phi ** np.arange(1.0, n + 1)
+        assert np.max(np.abs(y - ref)) <= AR1_TOL * np.max(np.abs(ref))
+
+
 class TestWorkerPool:
     """Generation and Welch give the same bits on any number of pool threads."""
 
@@ -188,14 +213,22 @@ class TestWorkerPool:
     def test_same_bits_on_any_worker_count(self, set_workers, kernel, dt):
         config = self.config(kernel, dt)
         ref = self.serial_samples(config)
-        squares, n_seg, win_power = self.serial_squares(1.0 / (1.0 + ref))
+        samples = []
+        for n in (1, 2, 3):
+            set_workers(n)
+            samples.append(generate_gaussian(config))
+        if isinstance(kernel, Lorentzian):
+            # the scan adds in another order than lfilter's loop
+            assert np.max(np.abs(samples[0] - ref)) <= AR1_TOL * np.max(np.abs(ref))
+        else:
+            assert np.array_equal(samples[0], ref)
+        assert all(np.array_equal(w, samples[0]) for w in samples[1:])
+        squares, n_seg, win_power = self.serial_squares(1.0 / (1.0 + samples[0]))
         power = squares[0::2] + squares[1::2]
         ref_psd = np.fft.fftshift(power / n_seg) * dt / win_power
         ref_floor = float(power.sum()) / (4096 * n_seg * win_power)
-        for n in (1, 2, 3):
+        for n, w in zip((1, 2, 3), samples):
             set_workers(n)
-            w = generate_gaussian(config)
-            assert np.array_equal(w, ref)
             spec = welch_covariance_spectrum(1.0 / (1.0 + w), dt)
             assert np.array_equal(spec.psd, ref_psd)
             assert spec.metadata["white_floor"] == ref_floor
@@ -361,9 +394,8 @@ class TestMemory:
     @pytest.mark.parametrize("kernel, dt, fir_taps", [
         (Lorentzian(1.0), 0.1, 1025), (FlatBand(), 0.5, 16385)], ids=["lorentzian", "flatband"])
     def test_run_holds_few_sample_arrays(self, kernel, dt, fir_taps):
-        # the generators' imports allocate module objects, not run memory
-        import scipy.fft
-        import scipy.signal  # noqa: F401
+        # the flat band's FFT import allocates module objects, not run memory
+        import scipy.fft  # noqa: F401
         config = SimulationConfig(kernel=kernel, omega=1.0, dt=dt, n_samples=1 << 22,
                                   seed=5, fir_taps=fir_taps)
         tracemalloc.start()

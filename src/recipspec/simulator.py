@@ -9,24 +9,25 @@ edge, renormalized to unit variance; the FIR is applied one noise chunk at a
 time by FFT overlap-add into one output buffer.
 
 Generation is chunked, with one counter-based RNG stream per chunk keyed on
-(seed, chunk index).  Pool threads (``spectrum.in_order``, one per CPU the
-process may use, at most ``POOL_MAX_WORKERS``) draw the chunks' noise, run
-each AR(1) chunk's recursion from a zero state and transform the Welch
-blocks; the calling thread adds each AR(1) chunk's decaying start state, runs
-the flat band's FFT pair and every sum, in chunk order.  So the samples and
-spectra are bitwise the same on one core as on several.  The FFTs stay on the
-calling thread because the FFT library allocates its scratch in the thread
-that runs it, and a worker's heap would keep it.  The ACF gate and
-``invert`` stay there too: each takes about 0.1 s at 2^23 samples, and
-``invert``'s ``np.errstate`` would not reach a worker thread.
+(seed, chunk index), and both generators split their work one way.  Pool
+threads (``spectrum.in_order``, one per CPU the process may use, at most
+``POOL_MAX_WORKERS``) draw each chunk's noise and filter it from a zero
+state: the AR(1) recursion as a scan, the flat band's FFT pair in place.
+The calling thread adds the carries between chunks (the AR(1) start state's
+decay, the FIR's overlap) and every sum, in chunk order; the Welch blocks
+split the same way.  So the samples and spectra are bitwise the same on one
+core as on several.  The ACF gate and ``invert`` stay on the calling thread:
+each takes about 0.1 s at 2^23 samples, and ``invert``'s ``np.errstate``
+would not reach a worker thread.
 
 Memory: every full-length stage works in place or in cache-sized blocks, so
 a run holds one sample-length array and no stage makes a full-length copy:
 the AR(1) noise is drawn into the output and scanned there, the flat-band
-noise into a ring of ``workers + 1`` zero-padded chunk buffers that are
-transformed in place, ``invert`` overwrites the samples with their
-reciprocal, the ACF gate centers one block at a time and Welch forms its
-segments as a strided view, copying one block of them at a time.
+noise into a ring of ``workers + 1`` zero-padded chunk buffers that the
+worker which drew each chunk transforms in place, ``invert`` overwrites the
+samples with their reciprocal, the ACF gate centers one block at a time and
+Welch forms its segments as a strided view, copying one block of them at a
+time.
 """
 
 from __future__ import annotations
@@ -191,32 +192,56 @@ def design_flat_fir(taps: int, dt: float) -> np.ndarray:
     return h * np.kaiser(taps, FIR_KAISER_BETA)
 
 
-def _generate_flat(config: SimulationConfig) -> np.ndarray:
-    from scipy.fft import fft, ifft, next_fast_len
+def _fast_len(n: int) -> int:
+    """The smallest 11-smooth integer >= n, the FFT length scipy's
+    ``next_fast_len`` picks for complex data; the flat band's bytes depend
+    on it."""
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
+
+def _real_fft(h: np.ndarray, nfft: int) -> np.ndarray:
+    """The length-``nfft`` FFT of the real array ``h``, as its real-input half
+    and that half's conjugate mirror; ``np.fft.fft(h, nfft)`` rounds
+    differently, in the last bits."""
+    half = np.fft.rfft(h, nfft)
+    spectrum = np.empty(nfft, dtype=complex)
+    spectrum[:len(half)] = half
+    np.conj(half[(nfft + 1) // 2 - 1:0:-1], out=spectrum[len(half):])
+    return spectrum
+
+
+def _generate_flat(config: SimulationConfig) -> np.ndarray:
+    """White noise through the flat-band FIR, one FFT pair per noise chunk
+    in its ring buffer, overlap-added in chunk order."""
     taps = config.fir_taps
     total = config.n_samples + taps  # head discarded as warm-up
-    # one FFT pair per noise chunk, overlap-added into one buffer; the
-    # convolution's output past ``total`` is never kept, so it is not formed
-    nfft = next_fast_len(_CHUNK + taps - 1)
-    h_hat = fft(design_flat_fir(taps, config.dt), nfft)
+    # the convolution's output past ``total`` is never kept, so it is not formed
+    nfft = _fast_len(_CHUNK + taps - 1)
+    h_hat = _real_fft(design_flat_fir(taps, config.dt), nfft)
     out = np.zeros(total, dtype=complex)
 
-    def noise(i, buf):  # on a worker: chunk i's noise, zero-padded to nfft
+    def noise_filter(i, buf):  # on a worker: chunk i's noise through the FIR, in place
         n = min(_CHUNK, total - i * _CHUNK)
         buf[n:] = 0.0
         _circular_normal(_chunk_rng(config.seed, i + 1), buf[:n])
-        return buf
+        np.fft.fft(buf, out=buf)
+        buf *= h_hat
+        return np.fft.ifft(buf, out=buf)
 
-    def filter_add(i, buf):  # on the calling thread, in chunk order
-        spectrum = fft(buf, overwrite_x=True)  # in place, as is ifft
-        spectrum *= h_hat
-        y = ifft(spectrum, overwrite_x=True)
+    def overlap_add(i, y):  # on the calling thread, in chunk order
         pos = i * _CHUNK
         end = min(pos + _CHUNK + taps - 1, total)
         out[pos:end] += y[:end - pos]
 
-    in_order(-(-total // _CHUNK), noise, filter_add, lambda: np.empty(nfft, dtype=complex))
+    in_order(-(-total // _CHUNK), noise_filter, overlap_add,
+             lambda: np.empty(nfft, dtype=complex))
     w = out[taps:]
     w /= math.sqrt(float(np.vdot(w, w).real) / len(w))
     return w

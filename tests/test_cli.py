@@ -59,16 +59,6 @@ class TestCoeffs:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "coeffs.csv").exists()
 
-    def test_cli_and_validation_leave_scipy_submodules_out(self):
-        # set-up cost: the package imports no scipy submodule until a run needs one
-        code = ("import sys, recipspec.cli, recipspec.validation; "
-                "print([m for m in ('scipy.signal', 'scipy.special', 'scipy.stats') "
-                "if m in sys.modules])")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, timeout=120, check=True).stdout
-        assert out.strip() == "[]"
-
     def test_json_format(self, tmp_path):
         rc = run(tmp_path, "coeffs", "--tau-start", "1.0", "--tau-stop", "1.0",
                  "--tau-step", "1.0", "--max-order", "2", "--format", "json")
@@ -293,21 +283,22 @@ class TestConfigFile:
         assert not out.exists()
 
 
-@pytest.mark.parametrize("args, unwanted", [
-    (["coeffs", "--max-order", "4"], "scipy.signal"),
-    (["spectrum", "--omega", "0.5", "--order", "2", "--half-points", "16"], "scipy.signal"),
-    (["bounds"], "scipy.signal"),
-    (["validate", "--profile", "quick"], "scipy.signal"),
-    # the AR(1) recursion is a numpy scan: a Lorentzian run needs no scipy
-    (["simulate", "--kernel", "lorentzian", "--samples", "65536", "--seed", "1",
-      "--segment-len", "256"], "scipy"),
-], ids=["coeffs", "spectrum", "bounds", "validate", "simulate"])
-def test_command_leaves_slow_imports_out(tmp_path, args, unwanted):
-    # importing scipy.signal costs most of a small run; a fresh interpreter
-    # shows what one command loads
+@pytest.mark.parametrize("args", [
+    ["coeffs", "--max-order", "4"],
+    ["spectrum", "--omega", "0.5", "--order", "2", "--half-points", "16"],
+    ["bounds"],
+    ["validate", "--profile", "quick"],
+    ["simulate", "--kernel", "lorentzian", "--samples", "65536", "--seed", "1",
+     "--segment-len", "256"],
+    ["simulate", "--kernel", "flatband", "--dt", "0.5", "--samples", "65536",
+     "--segment-len", "256", "--fir-taps", "1025"],
+], ids=["coeffs", "spectrum", "bounds", "validate", "simulate", "simulate-flatband"])
+def test_command_leaves_slow_imports_out(tmp_path, args):
+    # numpy is the only runtime dependency, and importing scipy costs most of a
+    # small run; a fresh interpreter shows what one command loads
     code = ("import sys; from recipspec.cli import main; "
             f"rc = main({args + ['--out-dir', str(tmp_path)]!r}); "
-            f"print(rc, [m for m in sys.modules if (m + '.').startswith({unwanted + '.'!r})])")
+            "print(rc, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=120, check=True).stdout

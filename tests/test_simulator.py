@@ -11,8 +11,8 @@ from recipspec import simulator, spectrum
 from recipspec.errors import ConfigError, DomainError, StatisticalQualityError
 from recipspec.kernels import FlatBand, GaussianKernel, Lorentzian
 from recipspec.simulator import (_CHUNK, _SCAN_ROW, SimulationConfig, _ar1_scan,
-                                 design_flat_fir, empirical_acf, generate_gaussian,
-                                 generator_fidelity_check, invert,
+                                 _fast_len, design_flat_fir, empirical_acf,
+                                 generate_gaussian, generator_fidelity_check, invert,
                                  run_experiment)
 from recipspec.spectrum import TauGrid, hann_window, welch_covariance_spectrum
 
@@ -122,6 +122,13 @@ class TestFlatGenerator:
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13
 
+    def test_fft_length_is_scipys_for_complex_data(self):
+        from scipy.fft import next_fast_len
+        chunk_lens = [_CHUNK + taps - 1 for taps in (1025, 4097, 16385)]
+        assert _fast_len(chunk_lens[1]) % 2 == 1  # 4097 taps: an odd length
+        ns = [*range(1, 5000), *range(262100, 300000, 7), *chunk_lens]
+        assert [_fast_len(n) for n in ns] == [next_fast_len(n) for n in ns]
+
 
 #: the AR(1) scan against lfilter's loop: max |w - ref| <= AR1_TOL max |ref|.
 #: The two sum in different orders; both are exact recursions, so they agree
@@ -151,14 +158,17 @@ class TestAr1Scan:
 class TestWorkerPool:
     """Generation and Welch give the same bits on any number of pool threads."""
 
-    POOL_CASES = pytest.mark.parametrize("kernel, dt", [
-        (Lorentzian(1.0), 0.1), (FlatBand(), 0.5)], ids=["lorentzian", "flatband"])
+    # 4097 taps make the flat band's FFT length odd (266805), the other half
+    # of the FIR transform's conjugate mirror
+    POOL_CASES = pytest.mark.parametrize("kernel, dt, fir_taps", [
+        (Lorentzian(1.0), 0.1, 1025), (FlatBand(), 0.5, 1025), (FlatBand(), 0.5, 4097)],
+        ids=["lorentzian", "flatband", "flatband-odd-fft"])
 
     @staticmethod
-    def config(kernel, dt):
-        # a partial last chunk; the flat band's 1025 taps span a chunk boundary
+    def config(kernel, dt, fir_taps):
+        # a partial last chunk; the flat band's taps span a chunk boundary
         return SimulationConfig(kernel=kernel, omega=1.0, dt=dt, seed=21,
-                                n_samples=3 * _CHUNK + 1000, fir_taps=1025)
+                                n_samples=3 * _CHUNK + 1000, fir_taps=fir_taps)
 
     @staticmethod
     def serial_samples(config):
@@ -210,8 +220,8 @@ class TestWorkerPool:
         return squares, len(segments), float(np.sum(win ** 2))
 
     @POOL_CASES
-    def test_same_bits_on_any_worker_count(self, set_workers, kernel, dt):
-        config = self.config(kernel, dt)
+    def test_same_bits_on_any_worker_count(self, set_workers, kernel, dt, fir_taps):
+        config = self.config(kernel, dt, fir_taps)
         ref = self.serial_samples(config)
         samples = []
         for n in (1, 2, 3):
@@ -235,9 +245,9 @@ class TestWorkerPool:
 
     @POOL_CASES
     def test_worker_error_propagates_and_no_thread_outlives_the_stage(
-            self, monkeypatch, set_workers, kernel, dt):
+            self, monkeypatch, set_workers, kernel, dt, fir_taps):
         set_workers(3)
-        config = self.config(kernel, dt)
+        config = self.config(kernel, dt, fir_taps)
         before = threading.active_count()
         generate_gaussian(config)
         assert threading.active_count() == before
@@ -394,8 +404,6 @@ class TestMemory:
     @pytest.mark.parametrize("kernel, dt, fir_taps", [
         (Lorentzian(1.0), 0.1, 1025), (FlatBand(), 0.5, 16385)], ids=["lorentzian", "flatband"])
     def test_run_holds_few_sample_arrays(self, kernel, dt, fir_taps):
-        # the flat band's FFT import allocates module objects, not run memory
-        import scipy.fft  # noqa: F401
         config = SimulationConfig(kernel=kernel, omega=1.0, dt=dt, n_samples=1 << 22,
                                   seed=5, fir_taps=fir_taps)
         tracemalloc.start()
@@ -405,8 +413,8 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         sample_array = 16 * config.n_samples
-        # invert overwrites the samples with their reciprocal: 1.19 (Lorentzian)
-        # and 1.27 (flat band) arrays
+        # invert overwrites the samples with their reciprocal: 1.10 (Lorentzian)
+        # and 1.27 (flat band) arrays once the pool's modules are loaded
         assert peak <= 1.5 * sample_array
 
     def test_gate_holds_no_sample_array(self):
